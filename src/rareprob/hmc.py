@@ -140,7 +140,10 @@ def hmc_transition(state, logp_grad, eps, n_steps, rng, *, mass=None,
 
     diverged = not ok
     if ok:
-        h1 = -logp + kinetic(z)
+        # the kinetic energy of a runaway momentum may overflow; the
+        # non-finite delta_h below counts it as a divergence
+        with np.errstate(over="ignore"):
+            h1 = -logp + kinetic(z)
         delta_h = h1 - h0
         if not math.isfinite(delta_h) or abs(delta_h) > max_delta_h:
             diverged = True

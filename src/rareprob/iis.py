@@ -1,11 +1,12 @@
 """Inverse importance sampling: the post-processing stage.
 
 The importance density Q is fitted to the samples that the chain already
-produced (Gaussian mixture via EM in low dimensions, a single moment-matched
-Gaussian in high dimensions), the normalizing constant of the smoothed
-target follows from the ratio of the two densities averaged over those same
-samples, and the failure probability estimate re-weights the failing samples
-by their cached likelihood values.  No stage here evaluates the model.
+produced (Gaussian mixture via EM in low dimensions; in high dimensions a
+mixture on the deformed subspace times the prior on its complement), the
+normalizing constant of the smoothed target follows from the ratio of the
+two densities averaged over those same samples, and the failure probability
+estimate re-weights the failing samples by their cached likelihood values.
+No stage here evaluates the model.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import solve_triangular
 
 from .errors import InvalidInputError, NumericalError
 
-GMM_DIM_LIMIT = 10     # mixture fit below, single Gaussian above
+GMM_DIM_LIMIT = 10     # full mixture fit up to here, subspace density above
 THINNING_LOW, THINNING_HIGH = 5, 50
 THINNING_DIM_SPLIT = 20
 
@@ -135,7 +135,13 @@ class EstimateReport:
 # ---------------------------------------------------------------------------
 
 class GmmModel:
-    """Gaussian mixture with cached Cholesky factors for density queries."""
+    """Gaussian mixture with cached inverse Cholesky factors for density
+    queries.
+
+    The covariance stack is factorised in one batched call and each
+    component keeps ``L_k^{-1}``, so its squared Mahalanobis distances are
+    one matrix product ``L_k^{-1} (theta - mu_k)^T`` and a column norm.
+    """
 
     def __init__(self, weights, means, covs):
         self.weights = np.asarray(weights, dtype=float)
@@ -143,65 +149,66 @@ class GmmModel:
         self.covs = np.asarray(covs, dtype=float)
         if abs(self.weights.sum() - 1.0) > 1e-9:
             raise InvalidInputError("mixture weights must sum to 1")
-        self._chols = []
-        self._log_norms = []
         d = self.means.shape[1]
-        for cov in self.covs:
-            try:
-                chol = np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"singular mixture covariance: {exc}") from exc
-            self._chols.append(chol)
-            self._log_norms.append(
-                -0.5 * d * math.log(2.0 * math.pi)
-                - np.log(np.diag(chol)).sum())
+        try:
+            chols = np.linalg.cholesky(self.covs)
+            self._inv_chol = np.linalg.inv(chols)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"singular mixture covariance: {exc}") from exc
+        self._log_norms = (-0.5 * d * math.log(2.0 * math.pi)
+                           - np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1))
 
     @property
     def n_components(self):
         return self.weights.size
 
     def component_log_density(self, thetas):
-        """(n, K) matrix of per-component log densities.
+        """(K, n) matrix of per-component log densities.
 
         A squared distance that overflows gives a log density of -inf.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        out = np.empty((thetas.shape[0], self.n_components))
+        # on the contiguous (d, n) transpose the centring, the product and
+        # the norm all run along the long sample axis
+        theta_t = np.ascontiguousarray(thetas.T)
+        out = np.empty((self.n_components, theta_t.shape[1]))
         with np.errstate(over="ignore"):
-            for k, (chol, ln) in enumerate(zip(self._chols, self._log_norms)):
-                diff = thetas - self.means[k]
-                sol = solve_triangular(chol, diff.T, lower=True,
-                                       check_finite=False)
-                out[:, k] = ln - 0.5 * (sol ** 2).sum(axis=0)
+            for k in range(self.n_components):
+                sol = self._inv_chol[k] @ (theta_t - self.means[k][:, None])
+                out[k] = self._log_norms[k] - 0.5 * np.einsum("dn,dn->n", sol, sol)
         return out
 
     def log_density(self, thetas):
         comp = self.component_log_density(thetas)
-        return _logsumexp_rows(comp + np.log(self.weights))
+        return _logsumexp_components(comp + np.log(self.weights)[:, None])
 
     def n_free_params(self):
         k, d = self.n_components, self.means.shape[1]
         return (k - 1) + k * d + k * d * (d + 1) // 2
 
 
-def _logsumexp_rows(mat):
-    # a row whose entries are all -inf is shifted by 0 and sums to -inf
-    # (not -inf - -inf = NaN); rows with a finite maximum are unchanged
-    m = mat.max(axis=1)
+def _logsumexp_components(mat):
+    # log-sum-exp over the component axis 0 of a (K, n) array; a column whose
+    # entries are all -inf is shifted by 0 and sums to -inf (not
+    # -inf - -inf = NaN)
+    m = mat.max(axis=0)
     m = np.where(np.isneginf(m), 0.0, m)
     with np.errstate(divide="ignore"):
-        return m + np.log(np.exp(mat - m[:, None]).sum(axis=1))
+        return m + np.log(np.exp(mat - m).sum(axis=0))
 
 
 def _regularize(cov, rel=1e-6):
-    # additive diagonal jitter scaled by the mean variance; a zero-trace
-    # (fully degenerate) covariance stays singular on purpose
-    d = cov.shape[0]
-    return cov + (rel * np.trace(cov) / d) * np.eye(d)
+    # additive diagonal jitter scaled by the mean variance, for one (d, d)
+    # matrix or a (K, d, d) stack; a zero-trace (fully degenerate)
+    # covariance stays singular on purpose
+    d = cov.shape[-1]
+    jitter = rel * np.trace(cov, axis1=-2, axis2=-1) / d
+    return cov + np.multiply.outer(jitter, np.eye(d))
 
 
 def fit_single_gaussian(samples):
-    """Moment-matched single Gaussian, the high-dimensional fallback."""
+    """Moment-matched single Gaussian, the fallback when too few samples
+    support a mixture."""
     theta = samples.theta if isinstance(samples, SampleSet) else np.atleast_2d(samples)
     n, d = theta.shape
     if n < d + 2:
@@ -236,7 +243,11 @@ class SubspaceDensity:
     def log_density(self, thetas):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         coords = thetas @ self.basis
-        sq_perp = (thetas ** 2).sum(axis=1) - (coords ** 2).sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq_perp = (thetas ** 2).sum(axis=1) - (coords ** 2).sum(axis=1)
+        # both squared norms overflow (inf - inf) only far out, where the
+        # density vanishes; finite rows are untouched
+        sq_perp = np.where(np.isnan(sq_perp), np.inf, sq_perp)
         return self.subspace_model.log_density(coords) \
             + self._log_norm_perp - 0.5 * np.maximum(sq_perp, 0.0)
 
@@ -286,9 +297,14 @@ def fit_subspace_density(samples, seed=0, k_max=3, max_dims=8,
 def _kmeans_init(theta, k, rng, n_rounds=5):
     """k-means++ style seeding plus a few Lloyd rounds."""
     n = theta.shape[0]
+    theta_t = np.ascontiguousarray(theta.T)
+
+    def sq_dists(c):
+        return ((theta_t - c[:, None]) ** 2).sum(axis=0)
+
     centers = [theta[rng.integers(n)]]
     for _ in range(k - 1):
-        d2 = np.min([((theta - c) ** 2).sum(axis=1) for c in centers], axis=0)
+        d2 = np.min([sq_dists(c) for c in centers], axis=0)
         total = d2.sum()
         if total <= 0:
             centers.append(theta[rng.integers(n)])
@@ -296,8 +312,7 @@ def _kmeans_init(theta, k, rng, n_rounds=5):
         centers.append(theta[rng.choice(n, p=d2 / total)])
     centers = np.array(centers)
     for _ in range(n_rounds):
-        dist = ((theta[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = dist.argmin(axis=1)
+        labels = np.argmin([sq_dists(c) for c in centers], axis=0)
         for j in range(k):
             mask = labels == j
             if mask.any():
@@ -324,21 +339,22 @@ def _em_fit(theta, k, rng, max_iter=60, tol=1e-5):
 
     loglik = -math.inf
     model = GmmModel(weights, means, covs)
+    theta_t = np.ascontiguousarray(theta.T)
     for _ in range(max_iter):
-        comp = model.component_log_density(theta) + np.log(model.weights)
-        norm = _logsumexp_rows(comp)
+        comp = model.component_log_density(theta) + np.log(model.weights)[:, None]
+        norm = _logsumexp_components(comp)
         loglik_new = float(norm.sum())
-        resp = np.exp(comp - norm[:, None])           # (n, k)
-        nk = resp.sum(axis=0)
+        resp = np.exp(comp - norm)                    # (k, n)
+        nk = resp.sum(axis=1)
         if np.any(nk < 1e-10):
             raise NumericalError("empty mixture component")
         weights = nk / n
-        means = (resp.T @ theta) / nk[:, None]
+        means = (resp @ theta) / nk[:, None]
         covs = np.empty((k, d, d))
         for j in range(k):
-            diff = theta - means[j]
-            covs[j] = _regularize((resp[:, j, None] * diff).T @ diff / nk[j])
-        model = GmmModel(weights, means, covs)
+            diff_t = theta_t - means[j][:, None]
+            covs[j] = (diff_t * resp[j]) @ diff_t.T / nk[j]
+        model = GmmModel(weights, means, _regularize(covs))
         if abs(loglik_new - loglik) <= tol * max(1.0, abs(loglik_new)):
             loglik = loglik_new
             break
@@ -470,15 +486,3 @@ def add_defensive_component(q, samples, weight=0.02, inflate=4.0):
     covs = np.concatenate([q.covs, cov[None, :, :]], axis=0)
     return GmmModel(weights, means, covs)
 
-
-def fit_importance_density(samples, seed=0, k_max=5, dim_limit=GMM_DIM_LIMIT,
-                           defensive_weight=0.02):
-    """Dispatch: mixture for d <= dim_limit, single Gaussian above, plus a
-    defensive wide component guarding the density ratios."""
-    if samples.d <= dim_limit:
-        q = fit_gmm(samples, k_max=k_max, seed=seed)
-    else:
-        q = fit_single_gaussian(samples)
-    if defensive_weight > 0.0:
-        q = add_defensive_component(q, samples, weight=defensive_weight)
-    return q

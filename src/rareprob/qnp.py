@@ -31,8 +31,12 @@ def bfgs_update(w, s, y, gate=1e-12, norm_cap=1e3):
     """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    ys = float(y @ s)
-    if abs(ys) <= gate * np.linalg.norm(y) * np.linalg.norm(s):
+    # a pair from a divergent step can overflow here; the infinite norms
+    # then fail the gate and the pair is skipped
+    with np.errstate(over="ignore"):
+        ys = float(y @ s)
+        degenerate = abs(ys) <= gate * np.linalg.norm(y) * np.linalg.norm(s)
+    if degenerate:
         return None
     rho = 1.0 / ys
     v = np.eye(s.size) - rho * np.outer(s, y)

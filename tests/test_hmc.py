@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,19 @@ def test_divergence_flag_on_huge_step():
     state = make_state(target, np.array([1.0, 1.0]))
     rng = np.random.default_rng(2)
     _, info = hmc_transition(state, target.logp_grad, 10.0, 10, rng)
+    assert info["diverged"]
+    assert not info["accepted"]
+
+
+def test_runaway_momentum_diverges_without_warning():
+    # a huge finite gradient keeps theta and z finite but overflows z'z in
+    # the identity kinetic energy; that is a divergence, not a warning
+    big = np.full(2, 1e160)
+    state = ChainState(theta=np.zeros(2), logp=0.0, grad=big)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, info = hmc_transition(state, lambda th: (0.0, big, None), 1.0, 1,
+                                 np.random.default_rng(3))
     assert info["diverged"]
     assert not info["accepted"]
 

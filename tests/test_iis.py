@@ -1,15 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
+from scipy.linalg import solve_triangular
 
-from rareprob import (EstimateReport, GmmModel, InvalidInputError,
-                      NumericalError, SampleSet, choose_thinning, cov_analytic,
-                      estimate_pf, fit_gmm, fit_single_gaussian,
-                      normalizing_constant)
+from rareprob import (AstpaConfig, EstimateReport, GmmModel,
+                      InvalidInputError, NumericalError, SampleSet,
+                      choose_thinning, cov_analytic, estimate_pf, fit_gmm,
+                      fit_single_gaussian, make_benchmark,
+                      normalizing_constant, resolve_spec, run_astpa)
 from rareprob.iis import (add_defensive_component, estimate_thinning_lag,
                           fit_subspace_density)
+from rareprob.pipeline import _fit_q
 from rareprob.target import SCALE_RATIO, log_weight_omega, softplus
 
 
@@ -111,6 +115,81 @@ def test_gmm_density_normalized_low_dim():
     assert mass == pytest.approx(1.0, abs=1e-4)
 
 
+# Pinned fits.  The chosen K and the normalizing constant were recorded
+# with the per-component reference kernel (one triangular solve per
+# component and EM iteration); the batched kernel must reproduce both.
+
+def _three_clusters_2d():
+    rng = np.random.default_rng(101)
+    return np.concatenate([
+        rng.standard_normal((1000, 2)) * [1.0, 0.5] + [-4.0, 0.0],
+        rng.standard_normal((900, 2)) @ [[1.0, 0.6], [0.0, 0.8]] + [3.0, 3.0],
+        rng.standard_normal((600, 2)) * 0.7 + [2.0, -4.0]])
+
+
+def _two_clusters_8d():
+    rng = np.random.default_rng(102)
+    return np.concatenate([
+        rng.standard_normal((3500, 8)) * np.linspace(0.5, 2.0, 8),
+        rng.standard_normal((2500, 8)) + np.r_[4.0, -3.0, np.zeros(6)]])
+
+
+@pytest.mark.parametrize("make, k, c_h", [
+    (_three_clusters_2d, 3, 5.600005778374117),
+    (_two_clusters_8d, 2, 1552.7598505096466),
+], ids=["2d-three-clusters", "8d-two-clusters"])
+def test_fit_gmm_pinned_k_and_normalizing_constant(make, k, c_h):
+    theta = make()
+    n = theta.shape[0]
+    samples = build_sample_set(theta, np.ones(n), np.zeros(n),
+                               -0.5 * (theta ** 2).sum(axis=1))
+    q = fit_gmm(samples, k_max=5, seed=7)
+    assert q.n_components == k
+    assert normalizing_constant(samples, q) == pytest.approx(c_h, rel=1e-9)
+
+
+def test_fit_q_pinned_on_example2_run():
+    spec = resolve_spec("example2")
+    defaults = dict(spec.astpa_defaults)
+    config = AstpaConfig(sigma=defaults.pop("sigma"), **defaults)
+    _, art = run_astpa(make_benchmark(spec), config, seed=3)
+    q = _fit_q(art.main, config, seed=5)
+    assert q.n_components == 6          # five fitted plus the defensive one
+    c_h = normalizing_constant(art.main, q)
+    assert c_h == pytest.approx(0.00014896177127257963, rel=1e-9)
+    assert estimate_pf(art.main, c_h) == pytest.approx(4.48155983962844e-05,
+                                                       rel=1e-9)
+
+
+def test_component_log_density_matches_triangular_solve():
+    rng = np.random.default_rng(16)
+    k, d = 4, 3
+    a = rng.standard_normal((k, d, d))
+    covs = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(d)
+    means = rng.standard_normal((k, d))
+    q = GmmModel(np.full(k, 1.0 / k), means, covs)
+    theta = 2.0 * rng.standard_normal((500, d))
+    ref = np.empty((k, theta.shape[0]))
+    for j in range(k):
+        chol = np.linalg.cholesky(covs[j])
+        sol = solve_triangular(chol, (theta - means[j]).T, lower=True)
+        ref[j] = (-0.5 * d * math.log(2 * math.pi)
+                  - np.log(np.diag(chol)).sum() - 0.5 * (sol ** 2).sum(axis=0))
+    np.testing.assert_allclose(q.component_log_density(theta), ref,
+                               rtol=1e-12)
+
+
+def test_component_log_density_overflow_is_neg_inf_without_warning():
+    q = GmmModel(np.array([0.5, 0.5]), np.array([[0.0, 0.0], [1.0, -1.0]]),
+                 np.stack([np.eye(2), [[2.0, 0.3], [0.3, 1.0]]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        comp = q.component_log_density(np.array([[1e200, 1e200]]))
+        log_q = q.log_density(np.array([[1e200, 1e200]]))
+    assert np.isneginf(comp).all()
+    assert np.isneginf(log_q).all()
+
+
 def test_single_gaussian_moments():
     rng = np.random.default_rng(7)
     theta = rng.standard_normal((100_000, 10))
@@ -165,6 +244,26 @@ def test_subspace_density_matches_full_gaussian():
              - 0.5 * (pts[:, 1:] ** 2).sum(axis=1))
     est = q.log_density(pts)
     assert np.abs(est - exact).mean() < 0.1
+
+
+def test_subspace_density_far_point_is_neg_inf():
+    # both squared norms of the far row overflow (inf - inf); the density
+    # must still vanish there, quietly, and the estimator must say so
+    rng = np.random.default_rng(17)
+    d, n = 30, 3000
+    theta = rng.standard_normal((n, d))
+    theta[:, 0] = 0.5 * theta[:, 0] + 2.0
+    q = fit_subspace_density(theta, seed=0)
+    far = np.zeros((2, d))
+    far[1, 5] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_q = q.log_density(far)
+    assert np.isfinite(log_q[0])
+    assert np.isneginf(log_q[1])
+    samples = build_sample_set(far, np.zeros(2), np.zeros(2), np.zeros(2))
+    with pytest.raises(NumericalError, match=r"index 1 \(log Q = -inf\)"):
+        normalizing_constant(samples, q)
 
 
 # ---------------------------------------------------------------------------

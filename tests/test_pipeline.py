@@ -8,6 +8,8 @@ from rareprob import (AstpaConfig, ConfigurationError, EstimationError,
                       fit_gmm, fit_single_gaussian, estimate_pf,
                       make_benchmark, normalizing_constant, run_astpa)
 
+from rareprob.harness import RunConfig, run_replication
+
 from conftest import make_linear_model, phi
 
 
@@ -147,3 +149,14 @@ def test_origin_in_failure_domain_is_flagged():
         warnings.simplefilter("ignore")
         report, _ = run_astpa(model, small_config(sigma=0.5), seed=1)
     assert any("failure domain" in w for w in report.warnings)
+
+
+def test_divergent_burnin_trajectory_raises_no_warning():
+    # replication 1 of example8 under master seed 5 runs a divergent burn-in
+    # trajectory: its curvature pair and its kinetic energy overflow, the
+    # pair is skipped and the trajectory counts as divergent
+    config = RunConfig(problem="example8", method="qnp-hmcmc", master_seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        row = run_replication(config, 1)
+    assert math.isfinite(row["pf_hat"]) and row["pf_hat"] > 0.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,14 @@ def test_update_skips_degenerate_pair():
     state = BfgsState(2)
     assert not state.update(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert state.n_updates == 0 and state.n_skipped == 1
+
+
+def test_update_skips_overflowing_pair_without_warning():
+    # a pair from a divergent step: y.s and both norms overflow
+    big = np.full(3, 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bfgs_update(np.eye(3), big, -big) is None
 
 
 def test_secant_and_spd_preservation_random():
