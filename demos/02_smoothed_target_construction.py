@@ -28,9 +28,9 @@ print()
 print("Log-density along the ray theta = t * (1, 1)/sqrt(2):")
 for t in (0.0, 1.0, 2.0, 2.83, 4.0):
     theta = t * np.ones(2) / np.sqrt(2)
-    logp, cache = target.log_target(theta)
-    print(f"  t = {t:4.2f}  g = {cache['g']:+7.3f}  log h~ = {logp:8.3f}  "
-          f"likelihood = {cache['ell']:.3e}")
+    logp, _, (g, _, log_ell) = target.logp_grad(theta)
+    print(f"  t = {t:4.2f}  g = {g:+7.3f}  log h~ = {logp:8.3f}  "
+          f"likelihood = {np.exp(log_ell):.3e}")
 print("  (the likelihood saturates once g <= 0: failure samples keep "
       "bounded weights)")
 

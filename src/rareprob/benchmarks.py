@@ -175,6 +175,8 @@ def _ex8(y0, gamma, delta, lam, d):
     v4 = np.zeros(d); v4[3] = 1.0; v4[4:delta] = -1.0
     v7 = np.zeros(d); v7[6] = 1.0; v7[7:lam] = -1.0
 
+    # far out on a divergent trajectory q7 ** 8 overflows: g is inf there
+    @np.errstate(over="ignore", invalid="ignore")
     def func(th):
         q1, q4, q7 = v1 @ th, v4 @ th, v7 @ th
         g = y0 - s * th.sum() + 2.5 * q1 ** 2 + q4 ** 4 + q7 ** 8

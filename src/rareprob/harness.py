@@ -22,10 +22,10 @@ from . import __version__
 from .benchmarks import make_benchmark, resolve_spec
 from .errors import ConfigurationError, RareprobError
 from .model import crude_monte_carlo
-from .pipeline import AstpaConfig, run_astpa
+from .pipeline import METHODS as ASTPA_METHODS, AstpaConfig, run_astpa
 from .sus import SusConfig, subset_simulation
 
-METHODS = ("hmcmc", "qnp-hmcmc", "sus-uniform", "sus-normal", "crude-mc")
+METHODS = ASTPA_METHODS + ("sus-uniform", "sus-normal", "crude-mc")
 
 _TOP_KEYS = {"problem", "method", "replications", "master_seed", "n_jobs"}
 _ASTPA_KEYS = {"sigma", "p", "tau", "epsilon", "target_accept", "n_burnin",
@@ -75,7 +75,7 @@ class RunConfig:
 
 
 def _method_keys(method):
-    if method in ("hmcmc", "qnp-hmcmc"):
+    if method in ASTPA_METHODS:
         return _ASTPA_KEYS
     if method in ("sus-uniform", "sus-normal"):
         return _SUS_KEYS
@@ -193,7 +193,7 @@ def run_replication(config, rep):
     model = make_benchmark(spec)
     t0 = time.perf_counter()
 
-    if config.method in ("hmcmc", "qnp-hmcmc"):
+    if config.method in ASTPA_METHODS:
         merged = dict(spec.astpa_defaults)
         merged.update(config.method_params)
         if "n_iter" in config.method_params and "budget" not in config.method_params:
@@ -229,7 +229,7 @@ def _replication_worker(args):
     config, rep = args
     try:
         return rep, run_replication(config, rep), None
-    except (RareprobError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except Exception as exc:   # one bad replication never stops the experiment
         return rep, None, f"{type(exc).__name__}: {exc}"
 
 

@@ -1,12 +1,15 @@
 """Hamiltonian MCMC: leapfrog integration, Metropolis step, step-size and
 trajectory-length tuning.
 
-The transition driver is shared by the plain sampler and the quasi-Newton
-preconditioned variant: the two differ only in which leapfrog kernel runs
-and where the momentum covariance comes from.  Random draws always happen
-in the same order (trajectory jitter, momentum, accept uniform), so two
-samplers fed the same generator and equivalent settings produce identical
-chains.
+One integrator and one transition serve the plain sampler and both phases
+of the quasi-Newton preconditioned variant.  The only difference between
+them is the kinetics, which ``draw_momentum`` returns as one tuple: the
+momentum draw, the kinetic energy, and the velocity and force maps that the
+leapfrog applies to the momentum and gradient (identity for the plain
+sampler, the BFGS matrix B on both during preconditioned burn-in, M^-1 on
+the velocity under a frozen mass M).  Random draws always happen in the
+same order (trajectory jitter, momentum, accept uniform), so two samplers
+fed the same generator and equivalent settings produce identical chains.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ class ChainState:
     logp: float
     grad: np.ndarray
     aux: tuple | None = None      # (g, grad_g, log_ell) for smoothed targets
-    z: np.ndarray | None = None   # momentum stored after the last accept
 
 
 def n_leapfrog_steps(tau, eps, max_steps=None):
@@ -58,36 +60,14 @@ def jitter_tau(tau, rng, lo=0.9, hi=1.1):
     return rng.uniform(lo * tau, hi * tau)
 
 
-def leapfrog(theta, z, grad, eps, n_steps, logp_grad, m_inv=None):
-    """Standard leapfrog: n_steps symmetric steps, one model call each.
+def leapfrog(theta, z, grad, eps, n_steps, logp_grad, velocity=None, force=None,
+             on_step=None):
+    """Leapfrog integration: n_steps symmetric steps, one model call each.
 
-    ``m_inv`` maps momentum to velocity (identity when None).  Returns the
-    final (theta, z, logp, grad, aux) plus a finite-ness flag.
-    """
-    theta = np.array(theta, dtype=float)
-    z = np.array(z, dtype=float)
-    logp = None
-    aux = None
-    for _ in range(n_steps):
-        z = z + 0.5 * eps * grad
-        theta = theta + eps * (z if m_inv is None else m_inv(z))
-        if not np.all(np.isfinite(theta)):
-            return theta, z, -math.inf, grad, aux, False
-        logp, grad, aux = logp_grad(theta)
-        z = z + 0.5 * eps * grad
-        if not (math.isfinite(logp) and np.all(np.isfinite(z))):
-            return theta, z, logp, grad, aux, False
-    return theta, z, logp, grad, aux, True
-
-
-def leapfrog_burnin(theta, z, grad, eps, n_steps, logp_grad, b_matrix,
-                    on_step=None):
-    """Burn-in leapfrog with the curvature matrix B on both updates.
-
-    Momentum gains (eps/2) B grad, position gains eps B z.  With B = I this
-    reduces to the standard kernel.  ``on_step`` receives
-    (step_theta, step_grad) displacements after every completed step so the
-    caller can accumulate curvature pairs.
+    Momentum gains (eps/2) force(grad) per half step and position gains
+    eps velocity(z); either map is the identity when None.  ``on_step``
+    receives the (theta, grad) displacements of every completed step.
+    Returns the final (theta, z, logp, grad, aux) plus a finite-ness flag.
     """
     theta = np.array(theta, dtype=float)
     z = np.array(z, dtype=float)
@@ -95,12 +75,12 @@ def leapfrog_burnin(theta, z, grad, eps, n_steps, logp_grad, b_matrix,
     aux = None
     for _ in range(n_steps):
         theta_prev, grad_prev = theta, grad
-        z = z + 0.5 * eps * (b_matrix @ grad)
-        theta = theta + eps * (b_matrix @ z)
+        z = z + 0.5 * eps * (grad if force is None else force(grad))
+        theta = theta + eps * (z if velocity is None else velocity(z))
         if not np.all(np.isfinite(theta)):
             return theta, z, -math.inf, grad, aux, False
         logp, grad, aux = logp_grad(theta)
-        z = z + 0.5 * eps * (b_matrix @ grad)
+        z = z + 0.5 * eps * (grad if force is None else force(grad))
         if not (math.isfinite(logp) and np.all(np.isfinite(z))):
             return theta, z, logp, grad, aux, False
         if on_step is not None:
@@ -108,67 +88,66 @@ def leapfrog_burnin(theta, z, grad, eps, n_steps, logp_grad, b_matrix,
     return theta, z, logp, grad, aux, True
 
 
+def _unit_kinetic(z):
+    return 0.5 * float(z @ z)
+
+
+def draw_momentum(rng, d, mass=None, b_matrix=None):
+    """Momentum draw and its kinetics: (z0, kinetic, velocity, force).
+
+    Plain: z0 ~ N(0, I), kinetic 0.5 z'z, identity maps.  Burn-in
+    (``b_matrix``): the same momentum and kinetic, with v -> B v as both the
+    velocity and the force map.  Mass: z0 ~ N(0, M), kinetic 0.5 z' M^-1 z,
+    velocity M^-1 z.
+    """
+    if mass is not None and b_matrix is None:
+        return mass.sample_momentum(rng), mass.kinetic, mass.velocity, None
+    z0 = rng.standard_normal(d)
+    if b_matrix is None:
+        return z0, _unit_kinetic, None, None
+    apply_b = lambda v: b_matrix @ v
+    return z0, _unit_kinetic, apply_b, apply_b
+
+
 def hmc_transition(state, logp_grad, eps, n_steps, rng, *, mass=None,
                    b_matrix=None, on_step=None, max_delta_h=1000.0):
     """One momentum-resample / integrate / Metropolis step.
 
-    mass : optional preconditioned mass (momentum ~ N(0, M), kinetic
-        0.5 z' M^-1 z, velocity M^-1 z).  Identity when None.
-    b_matrix : when given, run the burn-in kernel with this matrix and
-        identity-mass momentum/kinetic (the adaptive phase semantics).
-
+    ``mass`` and ``b_matrix`` select the kinetics (see draw_momentum).
     Returns (new_state, info) where info carries accepted/alpha/diverged.
     """
-    d = state.theta.size
-    if mass is not None and b_matrix is None:
-        z0 = mass.sample_momentum(rng)
-        kinetic = mass.kinetic
-        m_inv = mass.velocity
-    else:
-        z0 = rng.standard_normal(d)
-        kinetic = lambda z: 0.5 * float(z @ z)
-        m_inv = None
-
+    z0, kinetic, velocity, force = draw_momentum(rng, state.theta.size, mass,
+                                                 b_matrix)
     h0 = -state.logp + kinetic(z0)
-    if b_matrix is not None:
-        theta, z, logp, grad, aux, ok = leapfrog_burnin(
-            state.theta, z0, state.grad, eps, n_steps, logp_grad, b_matrix,
-            on_step=on_step)
-    else:
-        theta, z, logp, grad, aux, ok = leapfrog(
-            state.theta, z0, state.grad, eps, n_steps, logp_grad, m_inv=m_inv)
+    theta, z, logp, grad, aux, ok = leapfrog(
+        state.theta, z0, state.grad, eps, n_steps, logp_grad, velocity, force,
+        on_step)
 
     diverged = not ok
+    alpha = 0.0
     if ok:
         # the kinetic energy of a runaway momentum may overflow; the
         # non-finite delta_h below counts it as a divergence
         with np.errstate(over="ignore"):
             h1 = -logp + kinetic(z)
         delta_h = h1 - h0
-        if not math.isfinite(delta_h) or abs(delta_h) > max_delta_h:
-            diverged = True
-            alpha = 0.0
-        else:
+        diverged = not math.isfinite(delta_h) or abs(delta_h) > max_delta_h
+        if not diverged:
             alpha = min(1.0, math.exp(min(0.0, -delta_h)))
-    else:
-        alpha = 0.0
 
     u = rng.uniform()  # always drawn, keeps streams aligned across variants
     accepted = (not diverged) and (u < alpha)
-    if accepted:
-        new_state = ChainState(theta=theta, logp=logp, grad=grad, aux=aux, z=-z)
-    else:
-        new_state = state
+    new_state = ChainState(theta, logp, grad, aux) if accepted else state
     info = {"accepted": accepted, "alpha": alpha, "diverged": diverged,
             "n_steps": n_steps}
     return new_state, info
 
 
 def hmc_iteration(state, target_logp_grad, eps, tau, rng, mass=None,
-                  jitter=(0.9, 1.1), max_delta_h=1000.0, max_steps=None):
+                  max_delta_h=1000.0, max_steps=None):
     """Full iteration: jittered trajectory length, then one transition."""
-    tau_m = jitter_tau(tau, rng, *jitter)
-    n_steps, eps_eff = trajectory_discretization(tau_m, eps, max_steps)
+    n_steps, eps_eff = trajectory_discretization(jitter_tau(tau, rng), eps,
+                                                 max_steps)
     return hmc_transition(state, target_logp_grad, eps_eff, n_steps, rng,
                           mass=mass, max_delta_h=max_delta_h)
 
@@ -224,30 +203,17 @@ class DualAveraging:
         return math.exp(self.log_eps_bar)
 
 
-def find_reasonable_epsilon(state, logp_grad, rng, mass=None, b_matrix=None,
-                            max_doublings=60):
+def find_reasonable_epsilon(state, logp_grad, rng, mass=None, max_doublings=60):
     """Doubling/halving search for a step size with joint-density ratio ~ 1/2.
 
     One leapfrog step per trial, so one model call per trial.
     """
-    d = state.theta.size
-    if mass is not None and b_matrix is None:
-        z0 = mass.sample_momentum(rng)
-        kinetic = mass.kinetic
-        m_inv = mass.velocity
-    else:
-        z0 = rng.standard_normal(d)
-        kinetic = lambda z: 0.5 * float(z @ z)
-        m_inv = None
+    z0, kinetic, velocity, _ = draw_momentum(rng, state.theta.size, mass)
     h0 = -state.logp + kinetic(z0)
 
     def log_ratio(eps):
-        if b_matrix is not None:
-            _, z, logp, _, _, ok = leapfrog_burnin(
-                state.theta, z0, state.grad, eps, 1, logp_grad, b_matrix)
-        else:
-            _, z, logp, _, _, ok = leapfrog(
-                state.theta, z0, state.grad, eps, 1, logp_grad, m_inv=m_inv)
+        _, z, logp, _, _, ok = leapfrog(state.theta, z0, state.grad, eps, 1,
+                                        logp_grad, velocity)
         if not ok:
             return -math.inf
         r = -(-logp + kinetic(z)) + h0
@@ -279,7 +245,7 @@ def find_reasonable_epsilon(state, logp_grad, rng, mass=None, b_matrix=None,
 # ---------------------------------------------------------------------------
 
 def tune_trajectory(target, candidate_taus, pilot_iters, seed, theta0=None,
-                    target_accept=0.65, jitter=(0.9, 1.1)):
+                    target_accept=0.65):
     """Pick the trajectory length maximizing the normalized expected square
     jumping distance, mean ||theta_{m+1} - theta_m||^2 / sqrt(tau).
 
@@ -305,8 +271,7 @@ def tune_trajectory(target, candidate_taus, pilot_iters, seed, theta0=None,
         n_ok = 0
         for _ in range(pilot_iters):
             prev = state.theta
-            state, info = hmc_iteration(state, target.logp_grad, eps, tau, rng,
-                                        jitter=jitter)
+            state, info = hmc_iteration(state, target.logp_grad, eps, tau, rng)
             eps = da.update(info["alpha"])
             if not info["diverged"]:
                 n_ok += 1

@@ -65,10 +65,6 @@ class LimitStateModel:
     def call_count(self):
         return self._counter.value
 
-    def reset_call_count(self):
-        """Explicitly reset the counter (never done implicitly)."""
-        self._counter = _CallCounter()
-
     def evaluate(self, theta):
         """Evaluate (g, grad g) at theta.  Counts exactly one model call."""
         theta = np.asarray(theta, dtype=float)

@@ -30,7 +30,13 @@ METHODS = ("hmcmc", "qnp-hmcmc")
 class AstpaConfig:
     """Settings of one estimation run (defaults follow the generic guidance:
     percentile 0.1, trajectory length 0.7, 65% target acceptance, burn-in
-    near 10% of the model-call budget)."""
+    near 10% of the model-call budget).
+
+    The main phase starts a trajectory while fewer than ``budget`` model
+    calls have been made and always finishes it, so a run may overshoot the
+    budget by up to ``max_leapfrog_steps - 1`` calls.  With ``budget`` unset,
+    the main phase runs exactly ``n_iter`` iterations.
+    """
 
     sigma: float
     p: float = 0.1
@@ -40,7 +46,6 @@ class AstpaConfig:
     n_burnin: int | None = None
     budget: int | None = None
     n_iter: int | None = None
-    jitter: tuple = (0.9, 1.1)
     max_delta_h: float = 1000.0
     max_leapfrog_steps: int = 30   # cost guard while adaptation is in flux
     thinning_lag: int | None = None
@@ -97,10 +102,7 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
 
     ev0 = model.evaluate(np.zeros(d))
     theta0 = np.zeros(d) if config.theta0 is None else np.asarray(config.theta0, float)
-    if config.theta0 is not None:
-        ev0_start = model.evaluate(theta0)
-    else:
-        ev0_start = ev0
+    ev0_start = ev0 if config.theta0 is None else model.evaluate(theta0)
 
     # step-size search runs against the first annealed target (sigma = 1)
     probe_target = SmoothedTarget(model, sigma=config.sigma, p=config.p,
@@ -109,10 +111,9 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
         notes.append("g(0) <= 0: origin lies in the failure domain")
     params1 = LikelihoodParams(sigma=1.0, mu_g=1e-4, p=config.p,
                                g_c=probe_target.g_c)
-    logp0, grad0, log_ell0 = probe_target.view(theta0, ev0_start[0],
-                                               ev0_start[1], params1)
-    state = ChainState(theta=theta0, logp=logp0, grad=grad0,
-                       aux=(ev0_start[0], ev0_start[1], log_ell0))
+    # the start state: its cached model response, weighted under params1
+    state = _reweight(probe_target, ChainState(theta0, -math.inf, None, ev0_start),
+                      params1)
 
     if config.epsilon is not None:
         eps0 = float(config.epsilon)
@@ -124,103 +125,76 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
     target = SmoothedTarget(model, sigma=config.sigma, p=config.p,
                             n_burnin=n_burnin if n_burnin >= 2 else None,
                             origin_eval=ev0)
-    bfgs = BfgsState(d) if method == "qnp-hmcmc" else None
     da = DualAveraging(eps0, target_accept=config.target_accept)
     eps = da.current_eps if config.epsilon is None else config.epsilon
+    burn, main = [], []     # (theta, g, info) per recorded iteration
 
-    burn_theta, burn_g, burn_accepts = [], [], []
+    def run_phase(state, step, arg, eps, da, record, n=None, annealed=False):
+        """``n`` iterations of ``step`` (until the budget is spent when None).
 
-    def record_burnin(st, info):
-        burn_theta.append(st.theta.copy())
-        burn_g.append(st.aux[0])
-        burn_accepts.append(info["accepted"])
+        ``da`` adapts the step size when given; an annealed phase re-weights
+        the chain to the schedule of every 1-based iteration first.
+        Returns (state, eps).
+        """
+        m = 0
+        while (m < n) if n is not None else (model.call_count < config.budget):
+            m += 1
+            params = target.params_at(m) if annealed else None
+            if annealed:
+                state = _reweight(target, state, params)
+            state, info = step(state, lambda th: target.logp_grad(th, params),
+                               eps, config.tau, rng, arg,
+                               max_delta_h=config.max_delta_h,
+                               max_steps=config.max_leapfrog_steps)
+            if da is not None:
+                eps = da.update(info["alpha"])
+            record.append((state.theta.copy(), state.aux[0], info))
+        return state, eps
 
-    jitter = tuple(config.jitter)
-    for m in range(1, n_burnin + 1):
-        params_m = target.params_at(m)
-        logp, grad, log_ell = target.view(state.theta, state.aux[0],
-                                          state.aux[1], params_m)
-        state = replace(state, logp=logp, grad=grad,
-                        aux=(state.aux[0], state.aux[1], log_ell))
-        logp_grad_m = lambda th, pp=params_m: target.logp_grad(th, pp)
-        if bfgs is not None:
-            state, info = qnp_burnin_iteration(
-                state, logp_grad_m, eps, config.tau, rng, bfgs,
-                jitter=jitter, max_delta_h=config.max_delta_h,
-                max_steps=config.max_leapfrog_steps)
-        else:
-            state, info = hmc_iteration(
-                state, logp_grad_m, eps, config.tau, rng,
-                jitter=jitter, max_delta_h=config.max_delta_h,
-                max_steps=config.max_leapfrog_steps)
-        if config.epsilon is None:
-            eps = da.update(info["alpha"])
-        record_burnin(state, info)
-
+    # the step functions are looked up here, at call time, never bound early
+    if method == "qnp-hmcmc":
+        bfgs = BfgsState(d)
+        burnin_step, main_step = qnp_burnin_iteration, qnp_main_iteration
+    else:
+        bfgs = None
+        burnin_step = main_step = hmc_iteration
+    state, eps = run_phase(state, burnin_step, bfgs, eps,
+                           da if config.epsilon is None else None, burn,
+                           n_burnin, annealed=True)
     eps_main = da.frozen_eps if (config.epsilon is None and n_burnin > 0) else eps
-    logp_grad_f = lambda th: target.logp_grad(th, None)
-    logp, grad, log_ell = target.view(state.theta, state.aux[0], state.aux[1])
-    state = replace(state, logp=logp, grad=grad,
-                    aux=(state.aux[0], state.aux[1], log_ell))
+    state = _reweight(target, state)
 
     mass = None
     if bfgs is not None:
-        mass, state = finalize_mass(bfgs, state, logp_grad_f, eps_main,
-                                    config.tau, rng,
-                                    extra_cap=config.spd_extra_cap,
-                                    jitter=jitter, record=record_burnin)
+        mass, state = finalize_mass(
+            bfgs, state, target.logp_grad, eps_main, config.tau, rng,
+            extra_cap=config.spd_extra_cap,
+            record=lambda st, info: burn.append((st.theta.copy(), st.aux[0], info)))
         if config.epsilon is None:
             # The preconditioned kinetics rescale the dynamics, so the
             # burn-in step size does not carry over.  Re-anchor with the
             # same search heuristic under the new mass, then settle it with
             # a short adaptive window before freezing; these iterations are
             # still part of the adaptive phase and excluded from estimation.
-            eps_cal = find_reasonable_epsilon(state, logp_grad_f, rng,
+            eps_cal = find_reasonable_epsilon(state, target.logp_grad, rng,
                                               mass=mass)
             da_cal = DualAveraging(eps_cal, target_accept=config.target_accept)
-            eps_main = da_cal.current_eps
-            for _ in range(_calibration_window(n_burnin)):
-                state, info = qnp_main_iteration(
-                    state, logp_grad_f, eps_main, config.tau, rng, mass,
-                    jitter=jitter, max_delta_h=config.max_delta_h,
-                    max_steps=config.max_leapfrog_steps)
-                eps_main = da_cal.update(info["alpha"])
-                record_burnin(state, info)
+            state, _ = run_phase(state, main_step, mass, da_cal.current_eps,
+                                 da_cal, burn, _calibration_window(n_burnin))
             eps_main = da_cal.frozen_eps
 
-    main_theta, main_g = [], []
-    n_accept = 0
-    n_diverged = 0
-    n_main = 0
-    while True:
-        if config.budget is not None:
-            if model.call_count >= config.budget:
-                break
-        elif n_main >= config.n_iter:
-            break
-        if bfgs is not None:
-            state, info = qnp_main_iteration(
-                state, logp_grad_f, eps_main, config.tau, rng, mass,
-                jitter=jitter, max_delta_h=config.max_delta_h,
-                max_steps=config.max_leapfrog_steps)
-        else:
-            state, info = hmc_iteration(
-                state, logp_grad_f, eps_main, config.tau, rng,
-                jitter=jitter, max_delta_h=config.max_delta_h,
-                max_steps=config.max_leapfrog_steps)
-        main_theta.append(state.theta.copy())
-        main_g.append(state.aux[0])
-        n_accept += info["accepted"]
-        n_diverged += info["diverged"]
-        n_main += 1
-
-    if n_main == 0:
+    run_phase(state, main_step, mass, eps_main, None, main,
+              None if config.budget is not None else config.n_iter)
+    if not main:
         raise EstimationError(
             f"budget {config.budget} exhausted before the main phase "
             f"(burn-in used {model.call_count} calls)")
+    n_accept = sum(info["accepted"] for _, _, info in main)
+    n_diverged = sum(info["diverged"] for _, _, info in main)
+    burn_accepts = [info["accepted"] for _, _, info in burn]
 
-    burnin_set = _build_sample_set(target, burn_theta, burn_g, "burn-in")
-    main_set = _build_sample_set(target, main_theta, main_g, "main")
+    burnin_set = _build_sample_set(target, burn, "burn-in")
+    main_set = _build_sample_set(target, main, "main")
 
     # ---- post-processing: no model calls from here on ----------------------
     calls_before = model.call_count
@@ -244,7 +218,7 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
     report = iis.EstimateReport(
         p_hat=p_hat, c_h=c_h, variance=variance, cov_analytic=cov,
         n_used=main_set.n, thinning_lag=lag, model_calls=model.call_count,
-        accept_rate=n_accept / n_main, seed=_seed_as_int(seed),
+        accept_rate=n_accept / len(main), seed=_seed_as_int(seed),
         wall_time=time.perf_counter() - t_start, method=method,
         warnings=tuple(notes))
     artifacts = RunArtifacts(
@@ -255,11 +229,19 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
     return report, artifacts
 
 
-def _build_sample_set(target, thetas, gs, phase):
-    if not thetas:
+def _reweight(target, state, params=None):
+    """The state re-expressed under other likelihood parameters (no model
+    call: the cached g and grad g are reused)."""
+    g, grad_g = state.aux[0], state.aux[1]
+    logp, grad, log_ell = target.view(state.theta, g, grad_g, params)
+    return replace(state, logp=logp, grad=grad, aux=(g, grad_g, log_ell))
+
+
+def _build_sample_set(target, samples, phase):
+    if not samples:
         return None
-    theta = np.asarray(thetas, dtype=float)
-    g = np.asarray(gs, dtype=float)
+    theta = np.asarray([s[0] for s in samples], dtype=float)
+    g = np.asarray([s[1] for s in samples], dtype=float)
     log_ell = target.log_likelihood(g)
     log_h = log_ell - 0.5 * target.d * math.log(2.0 * math.pi) \
         - 0.5 * (theta ** 2).sum(axis=1)

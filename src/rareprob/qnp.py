@@ -144,22 +144,18 @@ class MassState:
 
 
 def qnp_burnin_iteration(state, logp_grad, eps, tau, rng, bfgs,
-                         jitter=(0.9, 1.1), max_delta_h=1000.0, max_steps=None):
+                         max_delta_h=1000.0, max_steps=None):
     """Adaptive-phase iteration: identity-mass momentum, dynamics driven by
     the W snapshot, curvature pairs harvested per leapfrog step, rollback of
     W on rejection."""
-    tau_m = jitter_tau(tau, rng, *jitter)
-    n_steps, eps_eff = trajectory_discretization(tau_m, eps, max_steps)
+    n_steps, eps_eff = trajectory_discretization(jitter_tau(tau, rng), eps,
+                                                 max_steps)
     snap = bfgs.snapshot()
-    b_matrix = snap[0]
-
-    def on_step(s, y_logp):
-        # curvature pairs are taken on the potential energy -log p, so that
-        # W approximates the local covariance (SPD wherever s'y > 0)
-        bfgs.update(s, -y_logp)
-
+    # curvature pairs are taken on the potential energy -log p, so that W
+    # approximates the local covariance (SPD wherever s'y > 0)
     new_state, info = hmc_transition(state, logp_grad, eps_eff, n_steps, rng,
-                                     b_matrix=b_matrix, on_step=on_step,
+                                     b_matrix=snap[0],
+                                     on_step=lambda s, y: bfgs.update(s, -y),
                                      max_delta_h=max_delta_h)
     if not info["accepted"]:
         bfgs.restore(snap)
@@ -167,16 +163,16 @@ def qnp_burnin_iteration(state, logp_grad, eps, tau, rng, bfgs,
 
 
 def qnp_main_iteration(state, logp_grad, eps, tau, rng, mass,
-                       jitter=(0.9, 1.1), max_delta_h=1000.0, max_steps=None):
+                       max_delta_h=1000.0, max_steps=None):
     """Non-adaptive iteration with momentum ~ N(0, M), M = W^-1."""
-    tau_m = jitter_tau(tau, rng, *jitter)
-    n_steps, eps_eff = trajectory_discretization(tau_m, eps, max_steps)
+    n_steps, eps_eff = trajectory_discretization(jitter_tau(tau, rng), eps,
+                                                 max_steps)
     return hmc_transition(state, logp_grad, eps_eff, n_steps, rng, mass=mass,
                           max_delta_h=max_delta_h)
 
 
 def finalize_mass(bfgs, state, logp_grad, eps, tau, rng, extra_cap=50,
-                  jitter=(0.9, 1.1), record=None):
+                  record=None):
     """Freeze the burn-in W into a mass state.
 
     If W is not positive definite, keep running burn-in iterations (up to
@@ -187,7 +183,7 @@ def finalize_mass(bfgs, state, logp_grad, eps, tau, rng, extra_cap=50,
     extra = 0
     while not is_spd(bfgs.w) and extra < extra_cap:
         state, info = qnp_burnin_iteration(state, logp_grad, eps, tau, rng,
-                                           bfgs, jitter=jitter)
+                                           bfgs)
         extra += 1
         if record is not None:
             record(state, info)

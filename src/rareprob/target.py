@@ -36,6 +36,12 @@ def sigmoid(u):
     return eu / (1.0 + eu)
 
 
+@np.errstate(over="ignore")
+def _half_sq_norm(theta):
+    # a divergent trajectory may overflow |theta|^2: the log density is -inf
+    return 0.5 * float(theta @ theta)
+
+
 def compute_g_c(g_at_origin):
     """Normalizing constant for g: keeps g(theta)/g_c on a common scale.
 
@@ -157,9 +163,8 @@ class SmoothedTarget:
     """Log-density and gradient of the non-normalized smoothed target.
 
     One model call yields (g, grad g); everything downstream of that pair is
-    a cheap transform, so annealed parameter changes never re-evaluate the
-    model.  ``log_target``/``grad_log_target`` share a single model call
-    through the returned cache.
+    a cheap transform (``view``), so annealed parameter changes never
+    re-evaluate the model.  ``logp_grad`` is the only method that calls it.
     """
 
     def __init__(self, model, sigma, p=0.1, n_burnin=None, g_c=None,
@@ -202,32 +207,14 @@ class SmoothedTarget:
         params = params or self.final_params
         u = (g / params.g_c + params.mu_g) / params.c
         log_ell = params.log_omega - softplus(u)
-        logp = log_ell - self._log_norm - 0.5 * float(theta @ theta)
+        logp = log_ell - self._log_norm - _half_sq_norm(theta)
         grad = -theta - (sigmoid(u) / (params.g_c * params.c)) * grad_g
         return logp, grad, log_ell
 
-    # -- model-calling entry points ------------------------------------------
-
-    def log_target(self, theta, params=None):
-        """Log density at theta; one model call.  Returns (L, cache)."""
-        theta = np.asarray(theta, dtype=float)
-        g, grad_g = self.model.evaluate(theta)
-        logp, grad, log_ell = self.view(theta, g, grad_g, params)
-        cache = {"g": g, "grad_g": grad_g, "log_ell": log_ell,
-                 "ell": math.exp(max(log_ell, -_EXP_CLAMP)), "grad_logp": grad}
-        return logp, cache
-
-    def grad_log_target(self, theta, cache=None, params=None):
-        """Gradient of the log density; reuses a cache from log_target if given."""
-        theta = np.asarray(theta, dtype=float)
-        if cache is not None:
-            _, grad, _ = self.view(theta, cache["g"], cache["grad_g"], params)
-            return grad
-        _, cache = self.log_target(theta, params)
-        return cache["grad_logp"]
+    # -- the model-calling entry point ---------------------------------------
 
     def logp_grad(self, theta, params=None):
-        """(logp, grad, (g, grad_g)) with exactly one model call."""
+        """(logp, grad, (g, grad_g, log_ell)) with exactly one model call."""
         theta = np.asarray(theta, dtype=float)
         g, grad_g = self.model.evaluate(theta)
         logp, grad, log_ell = self.view(theta, g, grad_g, params)

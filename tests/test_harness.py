@@ -148,6 +148,21 @@ def test_failed_replication_recorded():
     assert "EstimationError" in report.failures[0]["error"]
 
 
+def test_foreign_exception_recorded_and_other_rows_kept(monkeypatch):
+    # an error type the library does not define (e.g. from a user model)
+    original = rareprob.harness.run_replication
+
+    def flaky(config, rep):
+        if rep == 1:
+            raise ValueError("user model broke")
+        return original(config, rep)
+
+    monkeypatch.setattr(rareprob.harness, "run_replication", flaky)
+    report = run_experiment(qnp_config(None, n_jobs=1))
+    assert [row["rep"] for row in report.rows] == [0, 2]
+    assert report.failures == [{"rep": 1, "error": "ValueError: user model broke"}]
+
+
 def test_eff_identity():
     report = run_experiment(qnp_config(None, replications=4))
     assert report.eff == pytest.approx(

@@ -1,5 +1,6 @@
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,16 @@ def test_batch_matches_single():
         batch = model.evaluate_batch(thetas)
         singles = np.array([model.evaluate(row)[0] for row in thetas])
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
+
+
+def test_example8_divergent_point_is_inf_without_warning():
+    # a runaway trajectory reaches |q7| = 1e50, where q7 ** 8 overflows
+    theta = np.zeros(100)
+    theta[6] = 1e50
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, _ = make_benchmark("example8").evaluate(theta)
+    assert g == math.inf
 
 
 def test_registry_references():

@@ -56,6 +56,17 @@ def test_sample_records_consistent_with_final_parameters():
         np.testing.assert_array_equal(sample_set.is_failure, g <= 0.0)
 
 
+@pytest.mark.parametrize("method", ["hmcmc", "qnp-hmcmc"])
+def test_budget_overshoot_is_bounded(method):
+    # the last main-phase trajectory starts below the budget and finishes
+    config = small_config()
+    for seed in (1, 2, 3, 4):
+        report, _ = run_astpa(make_benchmark("example1"), config, seed=seed,
+                              method=method)
+        assert config.budget <= report.model_calls \
+            <= config.budget + config.max_leapfrog_steps - 1
+
+
 def test_burnin_excluded_from_estimation():
     model = make_benchmark("example1")
     report, art = run_astpa(model, small_config(), seed=5)

@@ -8,7 +8,7 @@ from rareprob import (BfgsState, MassState, NumericalError, bfgs_update,
                       ensure_spd, finalize_mass, hmc_iteration,
                       make_benchmark, qnp_burnin_iteration, qnp_main_iteration,
                       SmoothedTarget)
-from rareprob.hmc import ChainState, leapfrog, leapfrog_burnin
+from rareprob.hmc import ChainState, leapfrog
 from rareprob.qnp import is_spd
 
 from conftest import GaussianTarget
@@ -105,7 +105,9 @@ def test_burnin_kernel_reduces_to_standard_with_identity():
     z0 = np.array([1.0, 0.5])
     grad0 = target.logp_grad(theta0)[1]
     a = leapfrog(theta0, z0, grad0, 0.2, 5, target.logp_grad)
-    b = leapfrog_burnin(theta0, z0, grad0, 0.2, 5, target.logp_grad, np.eye(2))
+    apply_eye = lambda v: np.eye(2) @ v
+    b = leapfrog(theta0, z0, grad0, 0.2, 5, target.logp_grad,
+                 velocity=apply_eye, force=apply_eye)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
 
@@ -115,9 +117,10 @@ def test_burnin_zero_step_no_update():
     state = make_state(target, np.array([1.0, 0.0]))
     bfgs = BfgsState(2)
     pairs = []
-    leapfrog_burnin(state.theta, np.array([0.1, 0.1]), state.grad, 0.0, 3,
-                    target.logp_grad, bfgs.w,
-                    on_step=lambda s, y: pairs.append((s, y)))
+    apply_w = lambda v: bfgs.w @ v
+    leapfrog(state.theta, np.array([0.1, 0.1]), state.grad, 0.0, 3,
+             target.logp_grad, velocity=apply_w, force=apply_w,
+             on_step=lambda s, y: pairs.append((s, y)))
     for s, y in pairs:
         assert not bfgs.update(s, y)   # zero displacement pairs are skipped
     np.testing.assert_array_equal(bfgs.w, np.eye(2))
@@ -311,7 +314,7 @@ def test_preconditioned_energy_error_scaling():
         for _ in range(int(round(tau / eps))):
             th, z, logp, grad, _, ok = leapfrog(th, z, grad, eps, 1,
                                                 target.logp_grad,
-                                                m_inv=mass.velocity)
+                                                velocity=mass.velocity)
             worst = max(worst, abs(-logp + mass.kinetic(z) - h0))
         return worst
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -93,10 +94,10 @@ def test_log_target_trivial_case():
     # g == 0 everywhere, mu_g = 0 (p = 0.5), g_c = 1, theta = 0, d = 2
     model = make_constant_model(0.0, dim=2)
     target = SmoothedTarget(model, sigma=0.4, p=0.5)
-    logp, cache = target.log_target(np.zeros(2))
+    logp, _, aux = target.logp_grad(np.zeros(2))
     expected = log_weight_omega(0.0, 0.4) + math.log(0.5) - math.log(2 * math.pi)
     assert logp == pytest.approx(expected, rel=1e-12)
-    assert cache["g"] == 0.0
+    assert aux[0] == 0.0
 
 
 def test_log_target_against_arbitrary_precision():
@@ -104,7 +105,7 @@ def test_log_target_against_arbitrary_precision():
     model = make_benchmark("example1")
     target = SmoothedTarget(model, sigma=0.4, p=0.1)
     theta = np.array([3.0, 3.0])
-    logp, _ = target.log_target(theta)
+    logp, _, _ = target.logp_grad(theta)
 
     with mpmath.workdps(60):
         sigma = mpmath.mpf("0.4")
@@ -124,7 +125,7 @@ def test_grad_zero_at_origin_for_flat_gradient_model():
     model = LimitStateModel("bowl", 2,
                             lambda th: (float(th @ th) + 1.0, 2.0 * th))
     target = SmoothedTarget(model, sigma=0.5, p=0.5)
-    grad = target.grad_log_target(np.zeros(2))
+    _, grad, _ = target.logp_grad(np.zeros(2))
     np.testing.assert_allclose(grad, np.zeros(2), atol=1e-15)
 
 
@@ -136,13 +137,13 @@ def test_grad_matches_finite_difference_of_log_target(benchmark_id):
     rng = np.random.default_rng(11)
     for _ in range(20):
         theta = rng.standard_normal(model.dim)
-        grad = target.grad_log_target(theta)
+        _, grad, _ = target.logp_grad(theta)
         fd = np.zeros_like(theta)
         for i in range(theta.size):
             hi, lo = theta.copy(), theta.copy()
             hi[i] += 1e-6
             lo[i] -= 1e-6
-            fd[i] = (target.log_target(hi)[0] - target.log_target(lo)[0]) / 2e-6
+            fd[i] = (target.logp_grad(hi)[0] - target.logp_grad(lo)[0]) / 2e-6
         assert np.linalg.norm(grad - fd) <= 1e-5 * max(np.linalg.norm(grad), 1e-6)
 
 
@@ -151,8 +152,17 @@ def test_gradient_prior_limit():
     model = make_benchmark("example1")
     target = SmoothedTarget(model, sigma=0.1, p=0.5)
     theta = np.array([8.0, 8.0])    # g = 4 - 16/sqrt(2), far below zero
-    grad = target.grad_log_target(theta)
+    _, grad, _ = target.logp_grad(theta)
     np.testing.assert_allclose(grad, -theta, atol=1e-6)
+
+
+def test_view_of_divergent_point_is_minus_inf_without_warning():
+    # |theta|^2 overflows far out on a runaway trajectory
+    target = SmoothedTarget(make_benchmark("example8"), sigma=0.4, p=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logp, _, _ = target.view(np.full(100, 1e160), 5.0, np.zeros(100))
+    assert logp == -math.inf
 
 
 def test_log_target_monotone_in_g():

@@ -1,0 +1,56 @@
+"""The traced benchmark wraps library functions by name at run time.
+
+``perfbench/spans.py`` replaces ``owner.__dict__[attr]`` for a fixed list of
+names and relies on the pipeline resolving them at call time.  Renaming one
+of them breaks the traced run with a KeyError; binding a step function early
+(a module-level table, a default argument) silently drops its spans.  These
+tests load the span module as it is and check both halves of that contract.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import rareprob
+from rareprob import AstpaConfig, make_benchmark, run_astpa
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_exists(spans):
+    for owner, attr, name in spans._targets(rareprob):
+        assert attr in owner.__dict__, f"{name}: {owner.__name__}.{attr} is missing"
+
+
+def test_traced_run_records_every_phase(spans):
+    n_burnin = 50
+    config = AstpaConfig(sigma=0.4, tau=0.7, n_burnin=n_burnin, budget=400,
+                         max_leapfrog_steps=30)
+    recorder = spans.Recorder()
+    with spans.installed(recorder, rareprob):
+        _, art = run_astpa(make_benchmark("example1"), config, seed=3,
+                           method="qnp-hmcmc")
+    # the wrappers are gone again after the block
+    assert not hasattr(rareprob.qnp.hmc_transition, "__wrapped__")
+
+    arrays = recorder.arrays()
+    counts = {str(n): int(np.sum(arrays["name"] == i))
+              for i, n in enumerate(arrays["names"])}
+    window = max(10, min(50, n_burnin // 5))
+    assert counts.get("pipeline.qnp_burnin_iteration") == n_burnin
+    assert counts.get("pipeline.finalize_mass") == 1
+    assert counts.get("pipeline.qnp_main_iteration") == window + art.main.n
+    # every sampler transition, extra SPD iterations included, runs through
+    # the traced qnp.hmc_transition
+    extra = art.mass.extra_iterations
+    assert counts.get("hmc.transition") == n_burnin + extra + window + art.main.n
