@@ -7,6 +7,11 @@ normalizing constant of the smoothed target follows from the ratio of the
 two densities averaged over those same samples, and the failure probability
 estimate re-weights the failing samples by their cached likelihood values.
 No stage here evaluates the model.
+
+The mixture's component count K is chosen by BIC in a warm-started sweep:
+each K >= 2 runs EM from the K-1 fit with its heaviest component split and
+from one k-means++ start.  EM works on the distinct chain states with
+integer counts, since a rejected proposal records the previous state again.
 """
 
 from __future__ import annotations
@@ -197,12 +202,13 @@ def _logsumexp_components(mat):
         return m + np.log(np.exp(mat - m).sum(axis=0))
 
 
-def _regularize(cov, rel=1e-6):
+def _regularize(cov, rel=1e-6, min_trace=0.0):
     # additive diagonal jitter scaled by the mean variance, for one (d, d)
     # matrix or a (K, d, d) stack; a zero-trace (fully degenerate)
-    # covariance stays singular on purpose
+    # covariance stays singular on purpose unless min_trace floors the
+    # trace the jitter is scaled by
     d = cov.shape[-1]
-    jitter = rel * np.trace(cov, axis1=-2, axis2=-1) / d
+    jitter = rel * np.maximum(np.trace(cov, axis1=-2, axis2=-1), min_trace) / d
     return cov + np.multiply.outer(jitter, np.eye(d))
 
 
@@ -294,67 +300,118 @@ def fit_subspace_density(samples, seed=0, k_max=3, max_dims=8,
     return SubspaceDensity(basis, sub)
 
 
-def _kmeans_init(theta, k, rng, n_rounds=5):
-    """k-means++ style seeding plus a few Lloyd rounds."""
-    n = theta.shape[0]
-    theta_t = np.ascontiguousarray(theta.T)
+def _distinct_rows(theta):
+    """Fold consecutive repeated rows into one row with an integer count.
+
+    A rejected proposal records the previous state again, so a chain's
+    sample array repeats rows.  Only adjacent repeats are folded; the counts
+    sum to the number of rows.  Returns (rows, counts).
+    """
+    new = np.ones(theta.shape[0], dtype=bool)
+    new[1:] = np.any(theta[1:] != theta[:-1], axis=1)
+    starts = np.flatnonzero(new)
+    return theta[starts], np.diff(np.append(starts, theta.shape[0]))
+
+
+def _collapse_floor(rows, counts):
+    # floor on the trace that a component's jitter is scaled by: 1e-6 of the
+    # sample trace.  A component that collapses onto one heavily repeated
+    # state (a stuck chain) then stays a sharp but non-singular spike,
+    # independent of rounding; every other component keeps its own jitter
+    d = rows.shape[1]
+    return 1e-6 * float(np.trace(np.cov(rows.T, fweights=counts).reshape(d, d)))
+
+
+def _kmeans_start(rows, counts, k, rng, n_rounds=5):
+    """EM start from count-weighted k-means++ seeding plus a few Lloyd
+    rounds: the weights, means and covariances of the hard assignment.
+
+    Seeding draws a row with probability proportional to count times squared
+    distance.  K = 1 needs no seeding and starts from the sample moments.
+    """
+    m, d = rows.shape
+    n = counts.sum()
+    rows_t = np.ascontiguousarray(rows.T)
 
     def sq_dists(c):
-        return ((theta_t - c[:, None]) ** 2).sum(axis=0)
+        return ((rows_t - c[:, None]) ** 2).sum(axis=0)
 
-    centers = [theta[rng.integers(n)]]
-    for _ in range(k - 1):
-        d2 = np.min([sq_dists(c) for c in centers], axis=0)
-        total = d2.sum()
-        if total <= 0:
-            centers.append(theta[rng.integers(n)])
-            continue
-        centers.append(theta[rng.choice(n, p=d2 / total)])
-    centers = np.array(centers)
-    for _ in range(n_rounds):
-        labels = np.argmin([sq_dists(c) for c in centers], axis=0)
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                centers[j] = theta[mask].mean(axis=0)
-    return centers, labels
+    labels = np.zeros(m, dtype=int)
+    centers = np.zeros((k, d))
+    if k == 1:
+        centers[0] = counts @ rows / n
+    else:
+        centers[0] = rows[rng.choice(m, p=counts / n)]
+        for j in range(1, k):
+            d2 = counts * np.min([sq_dists(c) for c in centers[:j]], axis=0)
+            total = d2.sum()
+            p = d2 / total if total > 0 else counts / n
+            centers[j] = rows[rng.choice(m, p=p)]
+        for _ in range(n_rounds):
+            labels = np.argmin([sq_dists(c) for c in centers], axis=0)
+            for j in range(k):
+                mask = labels == j
+                if mask.any():
+                    centers[j] = counts[mask] @ rows[mask] / counts[mask].sum()
 
-
-def _em_fit(theta, k, rng, max_iter=60, tol=1e-5):
-    """One EM run; returns (model, loglik) or raises NumericalError."""
-    n, d = theta.shape
-    centers, labels = _kmeans_init(theta, k, rng)
     weights = np.full(k, 1.0 / k)
-    means = centers.copy()
     covs = np.empty((k, d, d))
-    overall = _regularize(np.cov(theta.T, ddof=1).reshape(d, d))
+    overall = _regularize(np.cov(rows.T, fweights=counts).reshape(d, d))
+    min_trace = _collapse_floor(rows, counts)
     for j in range(k):
         mask = labels == j
-        if mask.sum() > d:
-            covs[j] = _regularize(np.cov(theta[mask].T, ddof=1).reshape(d, d))
-            weights[j] = mask.mean()
+        n_j = counts[mask].sum()
+        if n_j > d:
+            covs[j] = _regularize(
+                np.cov(rows[mask].T, fweights=counts[mask]).reshape(d, d),
+                min_trace=min_trace)
+            weights[j] = n_j / n
         else:
             covs[j] = overall.copy()
-    weights /= weights.sum()
+    return GmmModel(weights / weights.sum(), centers, covs)
 
+
+def _split_start(model):
+    """EM start for K+1 components from a K-component fit: its heaviest
+    component split along its principal axis into means mu -/+ sqrt(lam1) v1,
+    each with half the weight and the same covariance."""
+    j = int(np.argmax(model.weights))
+    lam, vec = np.linalg.eigh(model.covs[j])
+    step = math.sqrt(max(lam[-1], 0.0)) * vec[:, -1]
+    weights = np.append(model.weights, 0.5 * model.weights[j])
+    weights[j] *= 0.5
+    means = np.vstack([model.means, model.means[j] + step])
+    means[j] -= step
+    covs = np.concatenate([model.covs, model.covs[j][None]])
+    return GmmModel(weights, means, covs)
+
+
+def _em_fit(rows, counts, model, max_iter=60, tol=1e-5):
+    """EM from the start ``model`` on rows weighted by integer counts.
+
+    Same likelihood and fixed point as EM on the rows repeated by their
+    counts.  Returns (model, loglik) or raises NumericalError.
+    """
+    n = counts.sum()
+    k, d = model.means.shape
+    min_trace = _collapse_floor(rows, counts)
     loglik = -math.inf
-    model = GmmModel(weights, means, covs)
-    theta_t = np.ascontiguousarray(theta.T)
+    rows_t = np.ascontiguousarray(rows.T)
     for _ in range(max_iter):
-        comp = model.component_log_density(theta) + np.log(model.weights)[:, None]
+        comp = model.component_log_density(rows) + np.log(model.weights)[:, None]
         norm = _logsumexp_components(comp)
-        loglik_new = float(norm.sum())
-        resp = np.exp(comp - norm)                    # (k, n)
+        loglik_new = float(counts @ norm)
+        resp = np.exp(comp - norm) * counts           # (k, m), count-weighted
         nk = resp.sum(axis=1)
         if np.any(nk < 1e-10):
             raise NumericalError("empty mixture component")
         weights = nk / n
-        means = (resp @ theta) / nk[:, None]
+        means = (resp @ rows) / nk[:, None]
         covs = np.empty((k, d, d))
         for j in range(k):
-            diff_t = theta_t - means[j][:, None]
+            diff_t = rows_t - means[j][:, None]
             covs[j] = (diff_t * resp[j]) @ diff_t.T / nk[j]
-        model = GmmModel(weights, means, _regularize(covs))
+        model = GmmModel(weights, means, _regularize(covs, min_trace=min_trace))
         if abs(loglik_new - loglik) <= tol * max(1.0, abs(loglik_new)):
             loglik = loglik_new
             break
@@ -362,33 +419,50 @@ def _em_fit(theta, k, rng, max_iter=60, tol=1e-5):
     return model, loglik
 
 
-def fit_gmm(samples, k_max=5, seed=0, n_restarts=3):
+def fit_gmm(samples, k_max=5, seed=0):
     """EM mixture fit with the component count selected by BIC.
 
-    Each candidate K gets ``n_restarts`` seeded restarts; a K whose every
-    restart degenerates is dropped (effectively "reduce K and retry"), and
-    failure at K = 1 is a hard error.  Deterministic given the seed.
+    The sweep over K is warm-started.  K = 1 starts from the sample moments.
+    Each K >= 2 runs two EM starts and keeps the one with the higher
+    log-likelihood: the K-1 optimum with its heaviest component split along
+    its principal axis (split initialisation, as in Ueda et al., SMEM,
+    Neural Computation 2000), and one seeded k-means++ start.  A K whose
+    every start degenerates is dropped (effectively "reduce K and retry"),
+    failure at K = 1 is a hard error, and the sweep stops after two K in a
+    row that do not improve the BIC.
+
+    EM runs on the distinct chain states: consecutive repeated rows are
+    folded into one row with an integer count, which leaves the likelihood,
+    the BIC (n is the full sample count) and the EM fixed point unchanged.
+    A component that collapses onto one repeated state is held at a trace
+    floor of 1e-6 of the sample trace, a sharp spike rather than a failed
+    start.  Deterministic given the seed.
     """
     theta = samples.theta if isinstance(samples, SampleSet) else np.atleast_2d(samples)
     n, d = theta.shape
     if n < 10 * d:
         raise InvalidInputError(f"need at least 10*d={10 * d} samples, got {n}")
+    rows, counts = _distinct_rows(theta)
     rng = np.random.default_rng(seed)
 
     best_model, best_bic = None, math.inf
+    prev = None             # the optimum of K-1, when K-1 was kept
     last_error = None
     n_worse = 0
     for k in range(1, k_max + 1):
         k_best, k_loglik = None, -math.inf
-        restarts = n_restarts if k > 1 else 1   # K=1 has a closed-form optimum
-        for _ in range(restarts):
+        # None stands for the k-means++ start
+        for base in ([prev, None] if prev is not None else [None]):
             try:
-                model, loglik = _em_fit(theta, k, rng)
+                start = (_kmeans_start(rows, counts, k, rng) if base is None
+                         else _split_start(base))
+                model, loglik = _em_fit(rows, counts, start)
             except NumericalError as exc:
                 last_error = exc
                 continue
             if loglik > k_loglik:
                 k_best, k_loglik = model, loglik
+        prev = k_best
         if k_best is None:
             if k == 1:
                 raise NumericalError(f"single-Gaussian EM failed: {last_error}")

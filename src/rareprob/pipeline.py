@@ -169,7 +169,8 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
         mass, state = finalize_mass(
             bfgs, state, target.logp_grad, eps_main, config.tau, rng,
             extra_cap=config.spd_extra_cap,
-            record=lambda st, info: burn.append((st.theta.copy(), st.aux[0], info)))
+            record=lambda st, info: burn.append((st.theta.copy(), st.aux[0], info)),
+            max_delta_h=config.max_delta_h, max_steps=config.max_leapfrog_steps)
         if config.epsilon is None:
             # The preconditioned kinetics rescale the dynamics, so the
             # burn-in step size does not carry over.  Re-anchor with the

@@ -172,18 +172,20 @@ def qnp_main_iteration(state, logp_grad, eps, tau, rng, mass,
 
 
 def finalize_mass(bfgs, state, logp_grad, eps, tau, rng, extra_cap=50,
-                  record=None):
+                  record=None, max_delta_h=1000.0, max_steps=None):
     """Freeze the burn-in W into a mass state.
 
     If W is not positive definite, keep running burn-in iterations (up to
-    ``extra_cap``) until an accepted sample leaves behind an SPD W; fall
+    ``extra_cap``, under the same ``max_delta_h`` and ``max_steps`` guards
+    as the burn-in) until an accepted sample leaves behind an SPD W; fall
     back to the diagonal-shift repair when the cap is reached.  Returns
     (mass, state) since extra iterations may move the chain.
     """
     extra = 0
     while not is_spd(bfgs.w) and extra < extra_cap:
         state, info = qnp_burnin_iteration(state, logp_grad, eps, tau, rng,
-                                           bfgs)
+                                           bfgs, max_delta_h=max_delta_h,
+                                           max_steps=max_steps)
         extra += 1
         if record is not None:
             record(state, info)

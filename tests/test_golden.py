@@ -29,28 +29,28 @@ CASES = {
 
 # key: (p_hat, c_h, model_calls, accept_rate, sha256(main.theta), sha256(burnin.theta))
 GOLDEN = {
-    "ex1-hmcmc": (4.000877561669469e-06, 4.30377634884238e-05, 602, 0.7666666666666667,
+    "ex1-hmcmc": (4.000877561669469e-06, 4.303776348842383e-05, 602, 0.7666666666666667,
         "342cef97300b39aec34fda1acbf50e7040137112c0a3c5b6b00b0aa48b4d98e9",
         "3c714a5f8601ed17a9f22ba614d49c15459f2f341afe8464960e54fda59b959f"),
-    "ex1-qnp": (5.620480435998849e-06, 3.7933981739778655e-05, 600, 0.5479744136460555,
+    "ex1-qnp": (5.617333088678927e-06, 3.7912739531550715e-05, 600, 0.5479744136460555,
         "cfd90ee5756ad6eb7fef6f677cf08aa7c96bd12c7c3eb6b359e8291feab5de98",
         "b54eb8a675c0f7214b8ad14e64b46d826a2cf4172d70bc91010a801e8e0e45ee"),
-    "ex2-hmcmc": (4.050144718930787e-05, 0.00015231821400355996, 3150, 0.4363699582753825,
+    "ex2-hmcmc": (4.008787890552688e-05, 0.00015076286260933458, 3150, 0.4363699582753825,
         "09f8d86b0d241fcc231294eec8550d5ea06c31d6161d3f35eea9de333feebde6",
         "bdbaea8f87ca1d422476d5d045d261d9736b6f27bf53eb3bf8003cc7650b5408"),
-    "ex2-qnp": (3.827419384024522e-05, 0.00015290841065504618, 3150, 0.5,
+    "ex2-qnp": (3.809470520364963e-05, 0.00015219133945383362, 3150, 0.5,
         "aa00d815a10f9535823b238b933b038bd89eb5c0906bbd9955e0aec9de5644a7",
         "834d0ca45313c8b03185ea807445e5036106a602cb4e9e9307eb09a8c1c8fcb5"),
-    "ex8-qnp": (0.00014688230084625045, 0.0006851101179083031, 7200, 0.801689083515796,
+    "ex8-qnp": (0.00014688230084625062, 0.0006851101179083038, 7200, 0.801689083515796,
         "d1ad8009e0c935dfdd0057e5c1d61b53ec64c0fa64efd0fde9e736e9158fc3cb",
         "7cfaf9b857885d24122474d7048057312226ce7d0d9d29541c9d7a6a0eba6bd9"),
-    "ex1-qnp-n-iter": (3.8074766497153124e-06, 3.91604050344728e-05, 433, 0.4633333333333333,
+    "ex1-qnp-n-iter": (3.807476649715306e-06, 3.916040503447279e-05, 433, 0.4633333333333333,
         "5950819f2a4be6b7f2a2ce6f2f7a5ba048b5440c7a932f6fa11c20198960cc11",
         "7368cf6861c72993243fbc94a78c1432478a6405094b735b4b1100a9f71725f0"),
     "ex1-qnp-fixed-eps": (4.849155004490204e-06, 3.8842941248080906e-05, 601, 1.0,
         "abecd4fc488e3e50c0f78ca0cec184146c2242ecc9e0332b6b36dcc3ece42a50",
         "b2c53a473d0735da3df06a510d55ddc01c51302966dfe85c41863a0ab0ae4136"),
-    "ex1-qnp-no-burnin": (4.2231527006660275e-06, 3.7584032220694847e-05, 600, 0.903448275862069,
+    "ex1-qnp-no-burnin": (4.2231527006660275e-06, 3.758403222069484e-05, 600, 0.903448275862069,
         "61a9ce9d5a7aea1e5d30349a3229e11c9958a5bb74f80c1b84512d2894f1f63f",
         "d2d1867ab6d46407e898f30e2b919e8ecbb458d024d1459755bf2d8d01bebbc5"),
 }

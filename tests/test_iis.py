@@ -11,7 +11,8 @@ from rareprob import (AstpaConfig, EstimateReport, GmmModel,
                       choose_thinning, cov_analytic, estimate_pf, fit_gmm,
                       fit_single_gaussian, make_benchmark,
                       normalizing_constant, resolve_spec, run_astpa)
-from rareprob.iis import (add_defensive_component, estimate_thinning_lag,
+from rareprob.iis import (_distinct_rows, _em_fit, _kmeans_start, _split_start,
+                          add_defensive_component, estimate_thinning_lag,
                           fit_subspace_density)
 from rareprob.pipeline import _fit_q
 from rareprob.target import SCALE_RATIO, log_weight_omega, softplus
@@ -116,8 +117,8 @@ def test_gmm_density_normalized_low_dim():
 
 
 # Pinned fits.  The chosen K and the normalizing constant were recorded
-# with the per-component reference kernel (one triangular solve per
-# component and EM iteration); the batched kernel must reproduce both.
+# with the warm-started K sweep over the distinct rows; a change to the
+# fit's starts, weighting or kernel shows up here.
 
 def _three_clusters_2d():
     rng = np.random.default_rng(101)
@@ -135,8 +136,8 @@ def _two_clusters_8d():
 
 
 @pytest.mark.parametrize("make, k, c_h", [
-    (_three_clusters_2d, 3, 5.600005778374117),
-    (_two_clusters_8d, 2, 1552.7598505096466),
+    (_three_clusters_2d, 3, 5.599991029368984),
+    (_two_clusters_8d, 2, 1552.7510076923863),
 ], ids=["2d-three-clusters", "8d-two-clusters"])
 def test_fit_gmm_pinned_k_and_normalizing_constant(make, k, c_h):
     theta = make()
@@ -156,9 +157,70 @@ def test_fit_q_pinned_on_example2_run():
     q = _fit_q(art.main, config, seed=5)
     assert q.n_components == 6          # five fitted plus the defensive one
     c_h = normalizing_constant(art.main, q)
-    assert c_h == pytest.approx(0.00014896177127257963, rel=1e-9)
-    assert estimate_pf(art.main, c_h) == pytest.approx(4.48155983962844e-05,
+    assert c_h == pytest.approx(0.0001489593083049333, rel=1e-9)
+    assert estimate_pf(art.main, c_h) == pytest.approx(4.481485740503573e-05,
                                                        rel=1e-9)
+
+
+def test_distinct_rows_folds_only_adjacent_repeats():
+    a, b, c = [0.0, 1.0], [2.0, -1.0], [0.0, 1.5]
+    theta = np.array([a, a, a, b, c, c, a, b, b])
+    rows, counts = _distinct_rows(theta)
+    np.testing.assert_array_equal(rows, [a, b, c, a, b])
+    np.testing.assert_array_equal(counts, [3, 1, 2, 1, 2])
+    assert counts.sum() == theta.shape[0]
+
+
+def test_em_on_counted_rows_matches_em_on_repeated_rows():
+    rng = np.random.default_rng(21)
+    rows = np.concatenate([rng.standard_normal((150, 2)) + [-2.0, 0.0],
+                           rng.standard_normal((100, 2)) * 0.6 + [2.0, 1.0]])
+    counts = rng.integers(1, 6, size=rows.shape[0])
+    expanded = np.repeat(rows, counts, axis=0)
+    start = _kmeans_start(rows, counts, 3, np.random.default_rng(4))
+    q_rows, ll_rows = _em_fit(rows, counts, start)
+    q_full, ll_full = _em_fit(expanded, np.ones(expanded.shape[0], dtype=int),
+                              start)
+    assert ll_rows == pytest.approx(ll_full, rel=1e-10)
+    for attr in ("weights", "means", "covs"):
+        np.testing.assert_allclose(getattr(q_rows, attr), getattr(q_full, attr),
+                                   rtol=1e-10)
+
+
+def test_component_collapsing_onto_a_stuck_state_stays_nonsingular():
+    # a stuck chain repeats one state; EM on the folded rows drives the
+    # component that captures it to an exactly zero covariance, which the
+    # collapse floor keeps a sharp, converged spike instead of a failed start
+    rng = np.random.default_rng(23)
+    stuck = np.array([0.7, -0.3])
+    theta = np.concatenate([rng.standard_normal((300, 2)),
+                            np.tile(stuck, (400, 1)),
+                            rng.standard_normal((300, 2))])
+    rows, counts = _distinct_rows(theta)
+    spike = GmmModel([0.5, 0.5], [[0.0, 0.0], stuck], [np.eye(2), 0.01 * np.eye(2)])
+    q, loglik = _em_fit(rows, counts, spike)
+    assert math.isfinite(loglik)
+    assert q.weights[1] == pytest.approx(0.4, abs=1e-6)
+    np.testing.assert_allclose(q.means[1], stuck, atol=1e-12)
+    assert np.all(np.linalg.eigvalsh(q.covs[1]) > 0.0)
+    assert fit_gmm(theta, k_max=3, seed=0).n_components >= 2
+
+
+def test_split_start_keeps_weights_and_component_mean():
+    weights = np.array([0.3, 0.7])
+    means = np.array([[0.0, 0.0], [1.0, -2.0]])
+    covs = np.array([np.eye(2), [[2.0, 0.5], [0.5, 1.0]]])
+    q = _split_start(GmmModel(weights, means, covs))
+    assert q.n_components == 3
+    assert q.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(q.weights, [0.3, 0.35, 0.35])
+    np.testing.assert_allclose(q.weights[1] * q.means[1] + q.weights[2] * q.means[2],
+                               0.7 * means[1], atol=1e-14)
+    lam, vec = np.linalg.eigh(covs[1])
+    np.testing.assert_allclose(np.abs((q.means[2] - q.means[1]) @ vec[:, -1]),
+                               2.0 * math.sqrt(lam[-1]), rtol=1e-12)
+    np.testing.assert_array_equal(q.covs[1], covs[1])
+    np.testing.assert_array_equal(q.covs[2], covs[1])
 
 
 def test_component_log_density_matches_triangular_solve():

@@ -216,6 +216,24 @@ def test_finalize_runs_extra_iterations_until_spd():
     assert mass.extra_iterations > 0 or mass.delta > 0
 
 
+def test_finalize_extra_iterations_keep_the_cost_guards():
+    model = make_benchmark("example1")
+    target = SmoothedTarget(model, sigma=0.4, p=0.1)
+    state = make_state(target, np.zeros(2))
+    bfgs = BfgsState(2)
+    bfgs.w = np.diag([1.0, -0.4])    # not SPD: needs extra adaptation
+    infos = []
+    # tau / eps = 5 steps without the cap; a negative threshold marks every
+    # trajectory divergent, so W is rolled back and all 5 extras run
+    mass, _ = finalize_mass(bfgs, state, target.logp_grad, 0.3, 1.5,
+                            np.random.default_rng(8), extra_cap=5,
+                            record=lambda st, info: infos.append(info),
+                            max_delta_h=-1.0, max_steps=2)
+    assert mass.extra_iterations == len(infos) == 5
+    assert all(info["n_steps"] <= 2 for info in infos)
+    assert all(info["diverged"] for info in infos)
+
+
 def test_mass_state_invariants_random_spd():
     rng = np.random.default_rng(9)
     for _ in range(10):
