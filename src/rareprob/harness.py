@@ -14,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,9 +28,7 @@ from .sus import SusConfig, subset_simulation
 METHODS = ASTPA_METHODS + ("sus-uniform", "sus-normal", "crude-mc")
 
 _TOP_KEYS = {"problem", "method", "replications", "master_seed", "n_jobs"}
-_ASTPA_KEYS = {"sigma", "p", "tau", "epsilon", "target_accept", "n_burnin",
-               "budget", "n_iter", "thinning_lag", "k_max", "gmm_dim_limit",
-               "max_delta_h", "max_leapfrog_steps", "spd_extra_cap"}
+_ASTPA_KEYS = {f.name for f in fields(AstpaConfig)} - {"theta0"}
 _SUS_KEYS = {"n_s", "p0", "max_levels"}
 _MC_KEYS = {"n", "force"}
 _OUTPUT_KEYS = {"csv", "json", "plot"}

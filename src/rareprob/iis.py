@@ -1,12 +1,12 @@
 """Inverse importance sampling: the post-processing stage.
 
 The importance density Q is fitted to the samples that the chain already
-produced (Gaussian mixture via EM in low dimensions; in high dimensions a
-mixture on the deformed subspace times the prior on its complement), the
-normalizing constant of the smoothed target follows from the ratio of the
-two densities averaged over those same samples, and the failure probability
-estimate re-weights the failing samples by their cached likelihood values.
-No stage here evaluates the model.
+produced (a mixture on B' theta times the exact prior on the complement of
+B: the identity up to ``GMM_DIM_LIMIT`` dimensions, the deformed subspace
+above), the normalizing constant of the smoothed target follows from the
+ratio of the two densities averaged over those same samples, and the failure
+probability estimate re-weights the failing samples by their cached
+likelihood values.  No stage here evaluates the model.
 
 The mixture's component count K is chosen by BIC in a warm-started sweep:
 each K >= 2 runs EM from the K-1 fit with its heaviest component split and
@@ -25,7 +25,7 @@ import scipy.linalg
 
 from .errors import InvalidInputError, NumericalError
 
-GMM_DIM_LIMIT = 10     # full mixture fit up to here, subspace density above
+GMM_DIM_LIMIT = 10     # Q's basis is the identity up to here, deformed above
 THINNING_LOW, THINNING_HIGH = 5, 50
 THINNING_DIM_SPLIT = 20
 
@@ -101,10 +101,6 @@ class SampleSet:
     @property
     def is_failure(self):
         return self.g <= 0.0
-
-    @property
-    def ell(self):
-        return np.exp(np.maximum(self.log_ell, -700.0))
 
 
 @dataclass(frozen=True)
@@ -234,6 +230,7 @@ class SubspaceDensity:
     O(d^2) parameter noise that systematically corrupts the density-ratio
     averages downstream, so instead a mixture is fitted only on the deformed
     subspace and the orthogonal complement keeps the exact prior density.
+    Up to ``GMM_DIM_LIMIT`` dimensions B is the identity (empty complement).
     """
 
     def __init__(self, basis, subspace_model):
@@ -280,15 +277,20 @@ def deformed_subspace(theta, max_dims=8):
     return scipy.linalg.orth(np.stack(cols, axis=1))
 
 
-def fit_subspace_density(samples, seed=0, k_max=3, max_dims=8,
-                         defensive_weight=0.02):
-    """High-dimensional importance density: mixture on the deformed
-    subspace, exact prior on its orthogonal complement."""
+def fit_subspace_density(samples, seed=0, k_max=5, defensive_weight=0.02):
+    """The importance density Q: a mixture on B' theta times the exact prior
+    on the complement of B.  B is the identity up to ``GMM_DIM_LIMIT``
+    dimensions; above it B is the deformed subspace and K <= min(k_max, 3).
+    With fewer than 10 samples per basis dimension the mixture is one
+    Gaussian."""
     theta = samples.theta if isinstance(samples, SampleSet) else np.atleast_2d(samples)
     n, d = theta.shape
     if n < d + 2:
         raise InvalidInputError(f"need at least d+2={d + 2} samples, got {n}")
-    basis = deformed_subspace(theta)
+    if d <= GMM_DIM_LIMIT:
+        basis = np.eye(d)
+    else:
+        basis, k_max = deformed_subspace(theta), min(k_max, 3)
     coords = theta @ basis
     m = coords.shape[1]
     if n >= 10 * m:

@@ -36,6 +36,9 @@ class AstpaConfig:
     calls have been made and always finishes it, so a run may overshoot the
     budget by up to ``max_leapfrog_steps - 1`` calls.  With ``budget`` unset,
     the main phase runs exactly ``n_iter`` iterations.
+
+    ``k_max`` bounds the importance density's mixture K in every dimension,
+    with a cap of 3 on a deformed subspace (d > 10).
     """
 
     sigma: float
@@ -50,8 +53,6 @@ class AstpaConfig:
     max_leapfrog_steps: int = 30   # cost guard while adaptation is in flux
     thinning_lag: int | None = None
     k_max: int = 5
-    gmm_dim_limit: int = iis.GMM_DIM_LIMIT
-    defensive_weight: float = 0.02
     spd_extra_cap: int = 50
     theta0: np.ndarray | None = None
 
@@ -200,7 +201,10 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
     # ---- post-processing: no model calls from here on ----------------------
     calls_before = model.call_count
     gmm_seed = int(rng.integers(2 ** 63))
-    q = _fit_q(main_set, config, gmm_seed)
+    if main_set.n < d + 2:
+        raise EstimationError(
+            f"{main_set.n} main samples cannot support a {d}-dim fit")
+    q = iis.fit_subspace_density(main_set, seed=gmm_seed, k_max=config.k_max)
     c_h = iis.normalizing_constant(main_set, q)
     p_hat = iis.estimate_pf(main_set, c_h)
     if p_hat == 0.0:
@@ -248,20 +252,6 @@ def _build_sample_set(target, samples, phase):
         - 0.5 * (theta ** 2).sum(axis=1)
     return iis.SampleSet(theta=theta, g=g, log_ell=log_ell, log_h=log_h,
                          phase=phase)
-
-
-def _fit_q(main_set, config, seed):
-    if main_set.d <= config.gmm_dim_limit and main_set.n >= 10 * main_set.d:
-        q = iis.fit_gmm(main_set, k_max=config.k_max, seed=seed)
-        if config.defensive_weight > 0.0:
-            q = iis.add_defensive_component(q, main_set,
-                                            weight=config.defensive_weight)
-        return q
-    if main_set.n >= main_set.d + 2:
-        return iis.fit_subspace_density(
-            main_set, seed=seed, defensive_weight=config.defensive_weight)
-    raise EstimationError(
-        f"{main_set.n} main samples cannot support a {main_set.d}-dim fit")
 
 
 def _seed_as_int(seed):

@@ -14,7 +14,6 @@ from rareprob import (AstpaConfig, EstimateReport, GmmModel,
 from rareprob.iis import (_distinct_rows, _em_fit, _kmeans_start, _split_start,
                           add_defensive_component, estimate_thinning_lag,
                           fit_subspace_density)
-from rareprob.pipeline import _fit_q
 from rareprob.target import SCALE_RATIO, log_weight_omega, softplus
 
 
@@ -154,12 +153,24 @@ def test_fit_q_pinned_on_example2_run():
     defaults = dict(spec.astpa_defaults)
     config = AstpaConfig(sigma=defaults.pop("sigma"), **defaults)
     _, art = run_astpa(make_benchmark(spec), config, seed=3)
-    q = _fit_q(art.main, config, seed=5)
+    q = fit_subspace_density(art.main, seed=5, k_max=config.k_max)
     assert q.n_components == 6          # five fitted plus the defensive one
     c_h = normalizing_constant(art.main, q)
     assert c_h == pytest.approx(0.0001489593083049333, rel=1e-9)
     assert estimate_pf(art.main, c_h) == pytest.approx(4.481485740503573e-05,
                                                        rel=1e-9)
+
+
+def test_low_dimensional_q_is_the_mixture_on_an_identity_basis():
+    # up to GMM_DIM_LIMIT dimensions the basis is the identity and the
+    # complement empty, so Q is bit for bit the full-space mixture plus its
+    # defensive component
+    theta = _three_clusters_2d()
+    q = fit_subspace_density(theta, seed=7, k_max=5)
+    np.testing.assert_array_equal(q.basis, np.eye(2))
+    ref = add_defensive_component(fit_gmm(theta, k_max=5, seed=7), theta)
+    pts = np.concatenate([theta, [[0.0, 0.0], [25.0, -30.0]]])
+    assert np.array_equal(q.log_density(pts), ref.log_density(pts))
 
 
 def test_distinct_rows_folds_only_adjacent_repeats():

@@ -54,3 +54,11 @@ def test_traced_run_records_every_phase(spans):
     # the traced qnp.hmc_transition
     extra = art.mass.extra_iterations
     assert counts.get("hmc.transition") == n_burnin + extra + window + art.main.n
+    # one density fit per run, whatever the dimension, with the mixture fit
+    # inside it, so the fit spans mean the same on every workload
+    assert counts.get("iis.fit_subspace_density") == 1
+    assert counts.get("iis.fit_gmm") == 1
+    names = list(arrays["names"])
+    fit, gmm = (np.flatnonzero(arrays["name"] == names.index(n))[0]
+                for n in ("iis.fit_subspace_density", "iis.fit_gmm"))
+    assert arrays["parent"][gmm] == fit
