@@ -2,11 +2,12 @@
 
 The importance density Q is fitted to the samples that the chain already
 produced (a mixture on B' theta times the exact prior on the complement of
-B: the identity up to ``GMM_DIM_LIMIT`` dimensions, the deformed subspace
-above), the normalizing constant of the smoothed target follows from the
-ratio of the two densities averaged over those same samples, and the failure
-probability estimate re-weights the failing samples by their cached
-likelihood values.  No stage here evaluates the model.
+B: the identity when at most ``GMM_DIM_LIMIT`` dimensions have 10 samples
+each, the deformed subspace otherwise), the normalizing constant of the
+smoothed target follows from the ratio of the two densities averaged over
+those same samples, and the failure probability estimate re-weights the
+failing samples by their cached likelihood values.  No stage here evaluates
+the model.
 
 The mixture's component count K is chosen by BIC in a warm-started sweep:
 each K >= 2 runs EM from the K-1 fit with its heaviest component split and
@@ -25,7 +26,7 @@ import scipy.linalg
 
 from .errors import InvalidInputError, NumericalError
 
-GMM_DIM_LIMIT = 10     # Q's basis is the identity up to here, deformed above
+GMM_DIM_LIMIT = 10     # Q's basis can be the identity up to here, deformed above
 THINNING_LOW, THINNING_HIGH = 5, 50
 THINNING_DIM_SPLIT = 20
 
@@ -230,7 +231,8 @@ class SubspaceDensity:
     O(d^2) parameter noise that systematically corrupts the density-ratio
     averages downstream, so instead a mixture is fitted only on the deformed
     subspace and the orthogonal complement keeps the exact prior density.
-    Up to ``GMM_DIM_LIMIT`` dimensions B is the identity (empty complement).
+    In low dimensions with enough samples B is the identity (empty
+    complement).
     """
 
     def __init__(self, basis, subspace_model):
@@ -277,29 +279,29 @@ def deformed_subspace(theta, max_dims=8):
     return scipy.linalg.orth(np.stack(cols, axis=1))
 
 
-def fit_subspace_density(samples, seed=0, k_max=5, defensive_weight=0.02):
+def fit_subspace_density(samples, seed=0):
     """The importance density Q: a mixture on B' theta times the exact prior
-    on the complement of B.  B is the identity up to ``GMM_DIM_LIMIT``
-    dimensions; above it B is the deformed subspace and K <= min(k_max, 3).
-    With fewer than 10 samples per basis dimension the mixture is one
-    Gaussian."""
+    on the complement of B, blended with a wide defensive component.
+
+    With at most ``GMM_DIM_LIMIT`` dimensions and 10 samples per dimension,
+    B is the identity (empty complement) and K <= 5; otherwise B is the
+    deformed subspace and K <= 3.  With fewer than 10 samples per basis
+    dimension the mixture is one Gaussian.
+    """
     theta = samples.theta if isinstance(samples, SampleSet) else np.atleast_2d(samples)
     n, d = theta.shape
     if n < d + 2:
         raise InvalidInputError(f"need at least d+2={d + 2} samples, got {n}")
-    if d <= GMM_DIM_LIMIT:
-        basis = np.eye(d)
+    if d <= GMM_DIM_LIMIT and n >= 10 * d:
+        basis, k_max = np.eye(d), 5
     else:
-        basis, k_max = deformed_subspace(theta), min(k_max, 3)
+        basis, k_max = deformed_subspace(theta), 3
     coords = theta @ basis
-    m = coords.shape[1]
-    if n >= 10 * m:
+    if n >= 10 * coords.shape[1]:
         sub = fit_gmm(coords, k_max=k_max, seed=seed)
     else:
         sub = fit_single_gaussian(coords)
-    if defensive_weight > 0.0:
-        sub = add_defensive_component(sub, coords, weight=defensive_weight)
-    return SubspaceDensity(basis, sub)
+    return SubspaceDensity(basis, add_defensive_component(sub, coords))
 
 
 def _distinct_rows(theta):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import iis
-from .errors import ConfigurationError, EstimationError
+from .errors import ConfigurationError, EstimationError, InvalidInputError
 from .hmc import (ChainState, DualAveraging, find_reasonable_epsilon,
                   hmc_iteration)
 from .qnp import BfgsState, MassState, finalize_mass, qnp_burnin_iteration, \
@@ -36,9 +36,6 @@ class AstpaConfig:
     calls have been made and always finishes it, so a run may overshoot the
     budget by up to ``max_leapfrog_steps - 1`` calls.  With ``budget`` unset,
     the main phase runs exactly ``n_iter`` iterations.
-
-    ``k_max`` bounds the importance density's mixture K in every dimension,
-    with a cap of 3 on a deformed subspace (d > 10).
     """
 
     sigma: float
@@ -52,7 +49,6 @@ class AstpaConfig:
     max_delta_h: float = 1000.0
     max_leapfrog_steps: int = 30   # cost guard while adaptation is in flux
     thinning_lag: int | None = None
-    k_max: int = 5
     spd_extra_cap: int = 50
     theta0: np.ndarray | None = None
 
@@ -201,10 +197,11 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
     # ---- post-processing: no model calls from here on ----------------------
     calls_before = model.call_count
     gmm_seed = int(rng.integers(2 ** 63))
-    if main_set.n < d + 2:
+    try:
+        q = iis.fit_subspace_density(main_set, seed=gmm_seed)
+    except InvalidInputError as exc:
         raise EstimationError(
-            f"{main_set.n} main samples cannot support a {d}-dim fit")
-    q = iis.fit_subspace_density(main_set, seed=gmm_seed, k_max=config.k_max)
+            f"{main_set.n} main samples cannot support a {d}-dim fit") from exc
     c_h = iis.normalizing_constant(main_set, q)
     p_hat = iis.estimate_pf(main_set, c_h)
     if p_hat == 0.0:

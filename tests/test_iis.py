@@ -11,8 +11,9 @@ from rareprob import (AstpaConfig, EstimateReport, GmmModel,
                       choose_thinning, cov_analytic, estimate_pf, fit_gmm,
                       fit_single_gaussian, make_benchmark,
                       normalizing_constant, resolve_spec, run_astpa)
-from rareprob.iis import (_distinct_rows, _em_fit, _kmeans_start, _split_start,
-                          add_defensive_component, estimate_thinning_lag,
+from rareprob.iis import (SubspaceDensity, _distinct_rows, _em_fit,
+                          _kmeans_start, _split_start, add_defensive_component,
+                          deformed_subspace, estimate_thinning_lag,
                           fit_subspace_density)
 from rareprob.target import SCALE_RATIO, log_weight_omega, softplus
 
@@ -153,7 +154,7 @@ def test_fit_q_pinned_on_example2_run():
     defaults = dict(spec.astpa_defaults)
     config = AstpaConfig(sigma=defaults.pop("sigma"), **defaults)
     _, art = run_astpa(make_benchmark(spec), config, seed=3)
-    q = fit_subspace_density(art.main, seed=5, k_max=config.k_max)
+    q = fit_subspace_density(art.main, seed=5)
     assert q.n_components == 6          # five fitted plus the defensive one
     c_h = normalizing_constant(art.main, q)
     assert c_h == pytest.approx(0.0001489593083049333, rel=1e-9)
@@ -162,15 +163,26 @@ def test_fit_q_pinned_on_example2_run():
 
 
 def test_low_dimensional_q_is_the_mixture_on_an_identity_basis():
-    # up to GMM_DIM_LIMIT dimensions the basis is the identity and the
-    # complement empty, so Q is bit for bit the full-space mixture plus its
-    # defensive component
+    # up to GMM_DIM_LIMIT dimensions with 10 samples per dimension the basis
+    # is the identity and the complement empty, so Q is bit for bit the
+    # full-space mixture plus its defensive component
     theta = _three_clusters_2d()
-    q = fit_subspace_density(theta, seed=7, k_max=5)
+    q = fit_subspace_density(theta, seed=7)
     np.testing.assert_array_equal(q.basis, np.eye(2))
     ref = add_defensive_component(fit_gmm(theta, k_max=5, seed=7), theta)
     pts = np.concatenate([theta, [[0.0, 0.0], [25.0, -30.0]]])
     assert np.array_equal(q.log_density(pts), ref.log_density(pts))
+
+
+def test_small_low_dimensional_set_keeps_the_deformed_subspace():
+    # fewer than 10 samples per dimension cannot support a full covariance,
+    # so Q keeps the few deformed directions and the exact prior on the rest
+    rng = np.random.default_rng(4)
+    theta = rng.standard_normal((30, 5))
+    theta[:, 0] = 0.3 * theta[:, 0] + 2.0
+    q = fit_subspace_density(theta, seed=0)
+    np.testing.assert_array_equal(q.basis, deformed_subspace(theta))
+    assert q.basis.shape[1] < 5
 
 
 def test_distinct_rows_folds_only_adjacent_repeats():
@@ -308,8 +320,12 @@ def test_subspace_density_matches_full_gaussian():
     theta = rng.standard_normal((n, d))
     theta[:, 0] = 0.3 * theta[:, 0] + 2.5
     q = fit_subspace_density(build_sample_set(
-        theta, np.zeros(n), np.zeros(n), np.zeros(n)), seed=0,
-        defensive_weight=0.0)
+        theta, np.zeros(n), np.zeros(n), np.zeros(n)), seed=0)
+    # compare the fitted mixture without its defensive (last) component
+    mix = q.subspace_model
+    w = mix.weights[:-1]
+    q = SubspaceDensity(q.basis, GmmModel(w / w.sum(), mix.means[:-1],
+                                          mix.covs[:-1]))
     pts = rng.standard_normal((200, d))
     pts[:, 0] = pts[:, 0] * 0.3 + 2.5
     exact = (-0.5 * d * math.log(2 * math.pi) - math.log(0.3)

@@ -6,8 +6,7 @@ import pytest
 
 from rareprob import (AstpaConfig, ConfigurationError, EstimationError,
                       fit_gmm, fit_single_gaussian, estimate_pf,
-                      make_benchmark, normalizing_constant, resolve_spec,
-                      run_astpa)
+                      make_benchmark, normalizing_constant, run_astpa)
 
 from rareprob.harness import RunConfig, run_replication
 
@@ -161,15 +160,6 @@ def test_subspace_density_used_in_high_dimensions():
         report, art = run_astpa(model, cfg, seed=21)
     assert art.importance_density.__class__.__name__ == "SubspaceDensity"
     assert report.thinning_lag <= 50
-
-
-def test_k_max_bounds_the_high_dimensional_mixture():
-    spec = resolve_spec("example8")
-    defaults = dict(spec.astpa_defaults)
-    config = AstpaConfig(sigma=defaults.pop("sigma"), **defaults, k_max=1)
-    _, art = run_astpa(make_benchmark(spec), config, seed=106)
-    # one fitted component plus the defensive one
-    assert art.importance_density.n_components == 2
 
 
 def test_origin_in_failure_domain_is_flagged():
