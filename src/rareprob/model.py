@@ -44,12 +44,16 @@ class LimitStateModel:
     dim : int
         Dimension of the standard normal input space.
     func : callable
-        Maps a length-d array to ``(g, grad)`` with ``grad`` a length-d array.
-        Must be deterministic.
+        Maps a length-d array to ``(g, grad)``: g a scalar and grad an array
+        of shape (d,).  Must be deterministic.
     batch_value : callable, optional
-        Vectorized value-only evaluator mapping an (n, d) array to a length-n
-        array of g values.  Used by Monte Carlo style consumers; each row
+        Vectorized value-only evaluator mapping an (n, d) array to an array of
+        g values of shape (n,).  Used by Monte Carlo style consumers; each row
         counts as one model call.  Falls back to a row loop over ``func``.
+
+    Returned shapes are checked on every call and a mismatch raises
+    ``DimensionError``; non-finite values are legal (a divergent point may
+    return g = inf).
     """
 
     def __init__(self, name, dim, func, batch_value=None):
@@ -76,7 +80,13 @@ class LimitStateModel:
             raise InvalidInputError(f"{self.name}: non-finite component in theta")
         g, grad = self._func(theta)
         self._counter.add(1)
-        return float(g), np.asarray(grad, dtype=float)
+        grad = np.asarray(grad, dtype=float)
+        if grad.shape != (self.dim,) or getattr(g, "ndim", 0):
+            raise DimensionError(
+                f"{self.name}: model returned g of shape {np.shape(g)} and grad of "
+                f"shape {grad.shape}, expected () and ({self.dim},)"
+            )
+        return float(g), grad
 
     def evaluate_batch(self, thetas):
         """Values of g for an (n, d) array of points; counts n model calls."""
@@ -92,6 +102,11 @@ class LimitStateModel:
         else:
             g = np.array([self._func(row)[0] for row in thetas], dtype=float)
         self._counter.add(thetas.shape[0])
+        if g.shape != thetas.shape[:1]:
+            raise DimensionError(
+                f"{self.name}: model returned g of shape {g.shape} for "
+                f"{thetas.shape[0]} rows"
+            )
         return g
 
 

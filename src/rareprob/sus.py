@@ -57,7 +57,7 @@ def level_threshold(g_values, p0):
     g = np.sort(np.asarray(g_values, dtype=float), kind="stable")
     idx = max(1, math.ceil(p0 * g.size))
     b = float(g[idx - 1])
-    return max(b, 0.0) if b <= 0.0 else b
+    return max(b, 0.0)
 
 
 def subset_simulation(model, config):

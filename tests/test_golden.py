@@ -4,8 +4,9 @@ Each case runs ``run_astpa`` at the registry defaults of its benchmark (plus
 the listed overrides) and compares p_hat, c_h, model calls, acceptance and
 a SHA-256 of the burn-in and main-phase sample arrays with exact equality.
 Any change to the draw order, the integrator arithmetic or the phase
-sequence shows up here.  The d=100 case relies on conftest pinning the BLAS
-threads to one.
+sequence shows up here.  One Subset Simulation run pins the batched
+evaluator path the same way.  The d=100 case relies on conftest pinning the
+BLAS threads to one.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import pytest
 
 from rareprob import AstpaConfig, make_benchmark, run_astpa
 from rareprob.benchmarks import resolve_spec
+from rareprob.sus import SusConfig, subset_simulation
 
 # key: (problem, method, seed, config overrides)
 CASES = {
@@ -25,6 +27,7 @@ CASES = {
     "ex1-qnp-n-iter": ("example1", "qnp-hmcmc", 106, {"budget": None, "n_iter": 300}),
     "ex1-qnp-fixed-eps": ("example1", "qnp-hmcmc", 107, {"epsilon": 0.25}),
     "ex1-qnp-no-burnin": ("example1", "qnp-hmcmc", 108, {"n_burnin": 0}),
+    "ex4-qnp": ("example4", "qnp-hmcmc", 105, {}),
 }
 
 # key: (p_hat, c_h, model_calls, accept_rate, sha256(main.theta), sha256(burnin.theta))
@@ -53,7 +56,16 @@ GOLDEN = {
     "ex1-qnp-no-burnin": (4.2231527006660275e-06, 3.758403222069484e-05, 600, 0.903448275862069,
         "61a9ce9d5a7aea1e5d30349a3229e11c9958a5bb74f80c1b84512d2894f1f63f",
         "d2d1867ab6d46407e898f30e2b919e8ecbb458d024d1459755bf2d8d01bebbc5"),
+    "ex4-qnp": (0.002814888206539884, 0.01710254044110672, 2000, 0.8959687906371911,
+        "aa4e7a76fef3397f2b13eaec4ddd399c26aeb5bae2dc2b143989495ae5c719af",
+        "4a97c5070ddd0cb8881e302168bcbc4e8d3ba605a96c51edfbd1db191f6d80a0"),
 }
+
+# Subset Simulation on example9 (uniform proposal, registry n_s, seed 109):
+# (p_hat, level thresholds, model_calls)
+GOLDEN_SUS_EX9 = (0.0004770000000000001,
+                  [0.02952805858761154, 0.013568282070188842, 0.0029851425378339957, 0.0],
+                  7400)
 
 
 def _sha(arr):
@@ -71,3 +83,10 @@ def test_golden_run_is_bit_identical(key):
     got = (report.p_hat, report.c_h, report.model_calls, report.accept_rate,
            _sha(art.main.theta), _sha(art.burnin.theta))
     assert got == GOLDEN[key]
+
+
+def test_golden_subset_simulation_is_bit_identical():
+    spec = resolve_spec("example9")
+    result = subset_simulation(make_benchmark(spec),
+                               SusConfig(proposal="uniform", seed=109, **spec.sus_defaults))
+    assert (result.p_hat, result.thresholds, result.model_calls) == GOLDEN_SUS_EX9

@@ -7,7 +7,7 @@ import pytest
 
 import rareprob
 from rareprob import (ConfigurationError, DimensionError, InvalidInputError,
-                      benchmark_ids, crude_monte_carlo,
+                      LimitStateModel, benchmark_ids, crude_monte_carlo,
                       finite_difference_gradient, make_benchmark, resolve_spec)
 from rareprob.benchmarks import analytic_reference
 
@@ -113,13 +113,33 @@ def test_gradient_matches_finite_differences(benchmark_id, params):
 
 
 def test_batch_matches_single():
+    # 1 row and a square d x d batch are the layouts where a swapped row and
+    # column index in a batch evaluator would still run
     for benchmark_id, params in ALL_SPECS:
         model = make_benchmark(benchmark_id, **params)
         rng = np.random.default_rng(3)
-        thetas = rng.standard_normal((16, model.dim))
-        batch = model.evaluate_batch(thetas)
-        singles = np.array([model.evaluate(row)[0] for row in thetas])
-        np.testing.assert_allclose(batch, singles, rtol=1e-12)
+        for n in (16, 1, model.dim):
+            thetas = rng.standard_normal((n, model.dim))
+            batch = model.evaluate_batch(thetas)
+            singles = np.array([model.evaluate(row)[0] for row in thetas])
+            np.testing.assert_allclose(batch, singles, rtol=1e-12)
+
+
+def test_evaluate_rejects_malformed_model_output():
+    column_grad = LimitStateModel("column-grad", 2,
+                                  lambda th: (1.0, np.zeros((2, 1))))
+    with pytest.raises(DimensionError, match="column-grad"):
+        column_grad.evaluate(np.zeros(2))
+    vector_g = LimitStateModel("vector-g", 2, lambda th: (np.ones(2), np.zeros(2)))
+    with pytest.raises(DimensionError, match="vector-g"):
+        vector_g.evaluate(np.zeros(2))
+
+
+def test_evaluate_batch_rejects_wrong_number_of_values():
+    short = LimitStateModel("short-batch", 2, lambda th: (1.0, np.zeros(2)),
+                            batch_value=lambda ths: np.ones(1))
+    with pytest.raises(DimensionError, match="short-batch"):
+        short.evaluate_batch(np.zeros((5, 2)))
 
 
 def test_example8_divergent_point_is_inf_without_warning():
