@@ -22,7 +22,8 @@ mu = mu_from_percentile(0.1, 0.4)
 print(f"  location mu_g = {mu:.5f} (puts the 10th percentile on g = 0)")
 print(f"  weight Omega = {weight_omega(mu, 0.4):.5f} (PDF/CDF match at g = 0)")
 
-target = SmoothedTarget(model, sigma=0.4, p=0.1, n_burnin=100)
+target = SmoothedTarget(model, sigma=0.4, p=0.1)
+target.anneal(100)
 
 print()
 print("Log-density along the ray theta = t * (1, 1)/sqrt(2):")

@@ -18,8 +18,7 @@ from .benchmarks import benchmark_ids, make_benchmark, resolve_spec
 from .errors import (ConfigurationError, EstimationError, InvalidInputError,
                      NumericalError, SusConvergenceError, TuningError)
 from .harness import parse_config, run_experiment, sweep
-from .hmc import (ChainState, DualAveraging, find_reasonable_epsilon,
-                  hmc_iteration, tune_trajectory)
+from .hmc import tune_trajectory
 from .model import crude_monte_carlo
 from .target import SmoothedTarget
 
@@ -100,21 +99,9 @@ def cmd_tune(args):
     sigma = args.sigma if args.sigma is not None else spec.astpa_defaults.get("sigma", 0.4)
     target = SmoothedTarget(model, sigma=sigma)
     candidates = [float(v) for v in args.candidates.split(",")]
-    tau = tune_trajectory(target, candidates, args.pilot_iters, args.seed or 0)
-
-    # dual-averaging pilot at the chosen trajectory length
-    rng = np.random.default_rng(args.seed or 0)
-    theta0 = np.zeros(model.dim)
-    logp, grad, aux = target.logp_grad(theta0)
-    state = ChainState(theta=theta0, logp=logp, grad=grad, aux=aux)
-    da = DualAveraging(find_reasonable_epsilon(state, target.logp_grad, rng))
-    eps = da.current_eps
-    for _ in range(args.pilot_iters):
-        state, info = hmc_iteration(state, target.logp_grad, eps, tau, rng,
-                                    max_steps=30)
-        eps = da.update(info["alpha"])
-    print(json.dumps({"problem": args.problem, "tau": tau,
-                      "epsilon": da.frozen_eps,
+    tau, eps = tune_trajectory(target, candidates, args.pilot_iters,
+                               args.seed or 0)
+    print(json.dumps({"problem": args.problem, "tau": tau, "epsilon": eps,
                       "pilot_model_calls": model.call_count}, indent=2))
     return 0
 

@@ -28,7 +28,7 @@ from .sus import SusConfig, subset_simulation
 METHODS = ASTPA_METHODS + ("sus-uniform", "sus-normal", "crude-mc")
 
 _TOP_KEYS = {"problem", "method", "replications", "master_seed", "n_jobs"}
-_ASTPA_KEYS = {f.name for f in fields(AstpaConfig)} - {"theta0"}
+_ASTPA_KEYS = {f.name for f in fields(AstpaConfig)}
 _SUS_KEYS = {"n_s", "p0", "max_levels"}
 _MC_KEYS = {"n", "force"}
 _OUTPUT_KEYS = {"csv", "json", "plot"}

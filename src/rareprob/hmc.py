@@ -77,11 +77,11 @@ def leapfrog(theta, z, grad, eps, n_steps, logp_grad, velocity=None, force=None,
         theta_prev, grad_prev = theta, grad
         z = z + 0.5 * eps * (grad if force is None else force(grad))
         theta = theta + eps * (z if velocity is None else velocity(z))
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             return theta, z, -math.inf, grad, aux, False
         logp, grad, aux = logp_grad(theta)
         z = z + 0.5 * eps * (grad if force is None else force(grad))
-        if not (math.isfinite(logp) and np.all(np.isfinite(z))):
+        if not (math.isfinite(logp) and np.isfinite(z).all()):
             return theta, z, logp, grad, aux, False
         if on_step is not None:
             on_step(theta - theta_prev, grad - grad_prev)
@@ -165,20 +165,20 @@ class DualAveraging:
     the published defaults of the scheme (gamma=0.05, t0=10, kappa=0.75).
     """
 
+    GAMMA = 0.05
+    T0 = 10.0
+    KAPPA = 0.75
+    ANCHOR_SCALE = 10.0   # anchor at log(ANCHOR_SCALE * eps0)
     eps0: float
     target_accept: float = 0.65
-    gamma: float = 0.05
-    t0: float = 10.0
-    kappa: float = 0.75
-    anchor_scale: float = 10.0   # anchor at log(anchor_scale * eps0)
     mu: float = field(init=False)
     log_eps: float = field(init=False)
     log_eps_bar: float = field(init=False)
-    h_bar: float = 0.0
-    t: int = 0
+    h_bar: float = field(init=False, default=0.0)
+    t: int = field(init=False, default=0)
 
     def __post_init__(self):
-        self.mu = math.log(self.anchor_scale * self.eps0)
+        self.mu = math.log(self.ANCHOR_SCALE * self.eps0)
         self.log_eps = math.log(self.eps0)
         self.log_eps_bar = math.log(self.eps0)
 
@@ -186,10 +186,10 @@ class DualAveraging:
         """Feed one acceptance probability; returns the next step size."""
         self.t += 1
         m = self.t
-        eta = 1.0 / (m + self.t0)
+        eta = 1.0 / (m + self.T0)
         self.h_bar = (1.0 - eta) * self.h_bar + eta * (self.target_accept - accept_prob)
-        self.log_eps = self.mu - math.sqrt(m) / self.gamma * self.h_bar
-        w = m ** (-self.kappa)
+        self.log_eps = self.mu - math.sqrt(m) / self.GAMMA * self.h_bar
+        w = m ** (-self.KAPPA)
         self.log_eps_bar = w * self.log_eps + (1.0 - w) * self.log_eps_bar
         return math.exp(self.log_eps)
 
@@ -244,24 +244,26 @@ def find_reasonable_epsilon(state, logp_grad, rng, mass=None, max_doublings=60):
 # trajectory-length selection
 # ---------------------------------------------------------------------------
 
-def tune_trajectory(target, candidate_taus, pilot_iters, seed, theta0=None,
+def tune_trajectory(target, candidate_taus, pilot_iters, seed,
                     target_accept=0.65):
     """Pick the trajectory length maximizing the normalized expected square
     jumping distance, mean ||theta_{m+1} - theta_m||^2 / sqrt(tau).
 
-    Runs a fresh pilot chain per candidate; ties break toward the smaller
-    (cheaper) candidate.  ``target`` needs a ``logp_grad(theta)`` method.
+    Runs a fresh dual-averaging pilot chain from the origin per candidate
+    (``target`` needs ``d`` and ``logp_grad(theta)``); ties break toward the
+    smaller (cheaper) candidate.  Returns (tau, eps), eps being the frozen
+    step size of the winning candidate's pilot.
     """
     candidates = sorted(set(float(t) for t in candidate_taus))
     if not candidates:
         raise TuningError("empty trajectory candidate list")
 
-    best_tau = None
+    best = None
     best_esjd = -math.inf
     ss = np.random.SeedSequence(seed)
     for tau, child in zip(candidates, ss.spawn(len(candidates))):
         rng = np.random.default_rng(child)
-        th0 = np.zeros(_target_dim(target)) if theta0 is None else np.asarray(theta0, float)
+        th0 = np.zeros(target.d)
         logp, grad, aux = target.logp_grad(th0)
         state = ChainState(theta=th0, logp=logp, grad=grad, aux=aux)
         da = DualAveraging(find_reasonable_epsilon(state, target.logp_grad, rng),
@@ -282,16 +284,7 @@ def tune_trajectory(target, candidate_taus, pilot_iters, seed, theta0=None,
         esjd = (total / pilot_iters) / math.sqrt(tau)
         if esjd > best_esjd:
             best_esjd = esjd
-            best_tau = tau
-    if best_tau is None:
+            best = (tau, da.frozen_eps)
+    if best is None:
         raise TuningError("all trajectory candidates diverged")
-    return best_tau
-
-
-def _target_dim(target):
-    d = getattr(target, "d", None)
-    if d is None:
-        d = getattr(target, "dim", None)
-    if d is None:
-        raise TuningError("target must expose d or dim")
-    return int(d)
+    return best

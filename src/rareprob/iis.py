@@ -121,16 +121,6 @@ class EstimateReport:
     method: str = ""
     warnings: tuple = ()
 
-    def to_dict(self):
-        return {
-            "p_hat": self.p_hat, "c_h": self.c_h, "variance": self.variance,
-            "cov_analytic": self.cov_analytic, "n_used": self.n_used,
-            "thinning_lag": self.thinning_lag, "model_calls": self.model_calls,
-            "accept_rate": self.accept_rate, "seed": self.seed,
-            "wall_time": self.wall_time, "method": self.method,
-            "warnings": list(self.warnings),
-        }
-
 
 # ---------------------------------------------------------------------------
 # importance density

@@ -76,7 +76,7 @@ class LimitStateModel:
             raise DimensionError(
                 f"{self.name}: expected shape ({self.dim},), got {theta.shape}"
             )
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise InvalidInputError(f"{self.name}: non-finite component in theta")
         g, grad = self._func(theta)
         self._counter.add(1)
@@ -95,7 +95,7 @@ class LimitStateModel:
             raise DimensionError(
                 f"{self.name}: expected shape (n, {self.dim}), got {thetas.shape}"
             )
-        if not np.all(np.isfinite(thetas)):
+        if not np.isfinite(thetas).all():
             raise InvalidInputError(f"{self.name}: non-finite component in batch")
         if self._batch_value is not None:
             g = np.asarray(self._batch_value(thetas), dtype=float)

@@ -21,7 +21,7 @@ from .hmc import (ChainState, DualAveraging, find_reasonable_epsilon,
                   hmc_iteration)
 from .qnp import BfgsState, MassState, finalize_mass, qnp_burnin_iteration, \
     qnp_main_iteration
-from .target import LikelihoodParams, SmoothedTarget
+from .target import SmoothedTarget
 
 METHODS = ("hmcmc", "qnp-hmcmc")
 
@@ -48,9 +48,6 @@ class AstpaConfig:
     n_iter: int | None = None
     max_delta_h: float = 1000.0
     max_leapfrog_steps: int = 30   # cost guard while adaptation is in flux
-    thinning_lag: int | None = None
-    spd_extra_cap: int = 50
-    theta0: np.ndarray | None = None
 
     def __post_init__(self):
         if self.budget is None and self.n_iter is None:
@@ -97,31 +94,21 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
     d = model.dim
     notes = []
 
-    ev0 = model.evaluate(np.zeros(d))
-    theta0 = np.zeros(d) if config.theta0 is None else np.asarray(config.theta0, float)
-    ev0_start = ev0 if config.theta0 is None else model.evaluate(theta0)
-
-    # step-size search runs against the first annealed target (sigma = 1)
-    probe_target = SmoothedTarget(model, sigma=config.sigma, p=config.p,
-                                  origin_eval=ev0)
-    if probe_target.g_c_degenerate:
+    target = SmoothedTarget(model, sigma=config.sigma, p=config.p)
+    if target.origin_eval[0] <= 0.0:
         notes.append("g(0) <= 0: origin lies in the failure domain")
-    params1 = LikelihoodParams(sigma=1.0, mu_g=1e-4, p=config.p,
-                               g_c=probe_target.g_c)
-    # the start state: its cached model response, weighted under params1
-    state = _reweight(probe_target, ChainState(theta0, -math.inf, None, ev0_start),
-                      params1)
+    # the chain and the step-size search start on the first annealed target
+    state = _reweight(target, ChainState(np.zeros(d), -math.inf, None,
+                                         target.origin_eval),
+                      target.initial_params)
 
     if config.epsilon is not None:
         eps0 = float(config.epsilon)
     else:
         eps0 = find_reasonable_epsilon(
-            state, lambda th: probe_target.logp_grad(th, params1), rng)
+            state, lambda th: target.logp_grad(th, target.initial_params), rng)
     n_burnin = _resolve_n_burnin(config, eps0)
-
-    target = SmoothedTarget(model, sigma=config.sigma, p=config.p,
-                            n_burnin=n_burnin if n_burnin >= 2 else None,
-                            origin_eval=ev0)
+    target.anneal(n_burnin)
     da = DualAveraging(eps0, target_accept=config.target_accept)
     eps = da.current_eps if config.epsilon is None else config.epsilon
     burn, main = [], []     # (theta, g, info) per recorded iteration
@@ -165,7 +152,6 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
     if bfgs is not None:
         mass, state = finalize_mass(
             bfgs, state, target.logp_grad, eps_main, config.tau, rng,
-            extra_cap=config.spd_extra_cap,
             record=lambda st, info: burn.append((st.theta.copy(), st.aux[0], info)),
             max_delta_h=config.max_delta_h, max_steps=config.max_leapfrog_steps)
         if config.epsilon is None:
@@ -206,14 +192,11 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
     p_hat = iis.estimate_pf(main_set, c_h)
     if p_hat == 0.0:
         notes.append("no failure samples in the main phase")
-    if config.thinning_lag is not None:
-        lag = config.thinning_lag
-    else:
-        # measured autocorrelation of the estimator terms, capped by the
-        # blanket dimension rule
-        terms = np.where(main_set.is_failure,
-                         np.exp(np.minimum(-main_set.log_ell, 700.0)), 0.0)
-        lag = iis.estimate_thinning_lag(terms, iis.choose_thinning(d))
+    # measured autocorrelation of the estimator terms, capped by the blanket
+    # dimension rule
+    terms = np.where(main_set.is_failure,
+                     np.exp(np.minimum(-main_set.log_ell, 700.0)), 0.0)
+    lag = iis.estimate_thinning_lag(terms, iis.choose_thinning(d))
     variance, cov = iis.cov_analytic(main_set, c_h, p_hat, lag)
     assert model.call_count == calls_before, "post-processing must not call the model"
 

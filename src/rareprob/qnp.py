@@ -63,11 +63,12 @@ class BfgsState:
         self.n_updates += 1
         return True
 
+    # update() only rebinds self.w, never writes into it: a snapshot shares it
     def snapshot(self):
-        return self.w.copy(), self.n_updates, self.n_skipped
+        return self.w, self.n_updates, self.n_skipped
 
     def restore(self, snap):
-        self.w, self.n_updates, self.n_skipped = snap[0].copy(), snap[1], snap[2]
+        self.w, self.n_updates, self.n_skipped = snap
 
 
 def is_spd(w):

@@ -129,8 +129,6 @@ def _grow_chains(model, seeds, seeds_g, b, n_s, config, rng):
         ok = cand_g <= b
         new_theta = np.where(ok[:, None], cand, a_cur)
         new_g = np.where(ok, cand_g, a_g)
-        cur = cur.copy()
-        cur_g = cur_g.copy()
         cur[:active] = new_theta
         cur_g[:active] = new_g
         out_theta.append(new_theta)

@@ -77,13 +77,16 @@ def weight_omega(mu_g, sigma):
     return math.exp(min(log_weight_omega(mu_g, sigma), _EXP_CLAMP))
 
 
+# the first annealed target: unit dispersion, location just above zero
+SIGMA0, MU0 = 1.0, 1e-4
+
+
 @dataclass(frozen=True)
 class LikelihoodParams:
     """Frozen likelihood parameters of the smoothed target."""
 
     sigma: float
     mu_g: float
-    p: float
     g_c: float
 
     @property
@@ -94,46 +97,37 @@ class LikelihoodParams:
     def log_omega(self):
         return log_weight_omega(self.mu_g, self.sigma)
 
-    @property
-    def omega(self):
-        return weight_omega(self.mu_g, self.sigma)
-
 
 @dataclass
 class AnnealSchedule:
     """Exponential burn-in schedules for sigma (decay) and mu_g (growth).
 
-    Constructed so sigma equals 1 at iteration 1 and sigma_final at
-    iteration n_burnin; mu equals mu_offset + mu_p50 at iteration 1 and
-    mu_p10 + 2*mu_p50 at iteration n_burnin (mu_p50 = 0 for the symmetric
-    percentile, so in practice the endpoint is the final location itself).
-    Past n_burnin both return their final constants.
+    Constructed so sigma equals SIGMA0 at iteration 1 and sigma_final at
+    iteration n_burnin, and mu equals MU0 at iteration 1 and mu_final at
+    iteration n_burnin (mu_final <= 0, from a percentile of 0.5 or more,
+    holds constant).  Past n_burnin both return their final constants.
     """
 
     sigma_final: float
     mu_final: float           # percentile location under the final sigma
     n_burnin: int
-    sigma0: float = 1.0
-    mu_p50: float = 0.0
-    mu_offset: float = 1e-4
 
     def __post_init__(self):
         if self.n_burnin < 2:
             raise ConfigurationError("annealing needs at least 2 burn-in iterations")
-        if not 0.0 < self.sigma_final <= self.sigma0:
+        if not 0.0 < self.sigma_final <= SIGMA0:
             raise ConfigurationError(
-                f"sigma_final must be in (0, {self.sigma0}], got {self.sigma_final}"
+                f"sigma_final must be in (0, {SIGMA0}], got {self.sigma_final}"
             )
         span = self.n_burnin - 1
-        if self.sigma_final < self.sigma0:
-            self._a2 = span / math.log(self.sigma0 / self.sigma_final)
-            self._a1 = self.sigma0 / math.exp(-1.0 / self._a2)
+        if self.sigma_final < SIGMA0:
+            self._a2 = span / math.log(SIGMA0 / self.sigma_final)
+            self._a1 = SIGMA0 / math.exp(-1.0 / self._a2)
         else:
             self._a2 = None  # constant schedule
-        mu_t = self.mu_final + self.mu_p50
-        if mu_t > 0 and mu_t != self.mu_offset:
-            self._b2 = span / math.log(self.mu_offset / mu_t)
-            self._b1 = self.mu_offset / math.exp(-1.0 / self._b2)
+        if self.mu_final > 0 and self.mu_final != MU0:
+            self._b2 = span / math.log(MU0 / self.mu_final)
+            self._b1 = MU0 / math.exp(-1.0 / self._b2)
         else:
             self._b2 = None
 
@@ -149,14 +143,8 @@ class AnnealSchedule:
         if self._b2 is None:
             mu = self.mu_final
         else:
-            mu = self._b1 * math.exp(-it / self._b2) + self.mu_p50
+            mu = self._b1 * math.exp(-it / self._b2)
         return sigma, mu
-
-
-def annealed_params(schedule, iteration, p, g_c):
-    """LikelihoodParams under the schedule at the given iteration."""
-    sigma, mu = schedule.at(iteration)
-    return LikelihoodParams(sigma=sigma, mu_g=mu, p=p, g_c=g_c)
 
 
 class SmoothedTarget:
@@ -164,35 +152,38 @@ class SmoothedTarget:
 
     One model call yields (g, grad g); everything downstream of that pair is
     a cheap transform (``view``), so annealed parameter changes never
-    re-evaluate the model.  ``logp_grad`` is the only method that calls it.
+    re-evaluate the model.  ``logp_grad`` is the only method that calls it;
+    construction evaluates the origin once (``origin_eval``, which sets g_c).
     """
 
-    def __init__(self, model, sigma, p=0.1, n_burnin=None, g_c=None,
-                 origin_eval=None):
+    def __init__(self, model, sigma, p=0.1):
         self.model = model
         self.d = model.dim
         self.sigma = float(sigma)
-        self.p = float(p)
-        if origin_eval is None and g_c is None:
-            origin_eval = model.evaluate(np.zeros(self.d))
-        self.origin_eval = origin_eval
-        self.g_c = compute_g_c(origin_eval[0]) if g_c is None else float(g_c)
-        self.g_c_degenerate = origin_eval is not None and origin_eval[0] <= 0.0
+        self.origin_eval = model.evaluate(np.zeros(self.d))
+        self.g_c = compute_g_c(self.origin_eval[0])
         self.mu_final = mu_from_percentile(p, sigma)
         self.final_params = LikelihoodParams(sigma=self.sigma, mu_g=self.mu_final,
-                                             p=p, g_c=self.g_c)
+                                             g_c=self.g_c)
+        self.initial_params = LikelihoodParams(sigma=SIGMA0, mu_g=MU0, g_c=self.g_c)
         self.schedule = None
-        if n_burnin is not None and n_burnin >= 2:
+        self._log_norm = 0.5 * self.d * math.log(2.0 * math.pi)
+
+    def anneal(self, n_burnin):
+        """Anneal over ``n_burnin`` iterations; below 2 there is nothing to
+        anneal and the final parameters hold from the first iteration."""
+        self.schedule = None
+        if n_burnin >= 2:
             self.schedule = AnnealSchedule(sigma_final=self.sigma,
                                            mu_final=self.mu_final,
                                            n_burnin=int(n_burnin))
-        self._log_norm = 0.5 * self.d * math.log(2.0 * math.pi)
 
     def params_at(self, iteration):
         """Annealed parameters for a burn-in iteration; final ones past it."""
         if self.schedule is None:
             return self.final_params
-        return annealed_params(self.schedule, iteration, self.p, self.g_c)
+        sigma, mu = self.schedule.at(iteration)
+        return LikelihoodParams(sigma=sigma, mu_g=mu, g_c=self.g_c)
 
     # -- pure transforms of a cached (g, grad) pair --------------------------
 

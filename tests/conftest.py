@@ -8,8 +8,21 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from rareprob import LimitStateModel
+
+# property tests draw the same examples on every run, keep no example
+# database and have no per-example deadline
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+
+def pytest_configure(config):
+    # at collection the hypothesis plugin caches the constants of the sources
+    # in its home directory, ./.hypothesis by default: keep it in pytest's cache
+    if getattr(config, "cache", None) is not None:
+        set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 
 def make_linear_model(beta=3.0, name="lin1d"):

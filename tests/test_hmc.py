@@ -258,12 +258,13 @@ def test_n_leapfrog_steps():
 
 def test_tune_trajectory_singleton():
     target = GaussianTarget(np.eye(2))
-    assert tune_trajectory(target, [0.7], pilot_iters=5, seed=0) == 0.7
+    tau, eps = tune_trajectory(target, [0.7], pilot_iters=5, seed=0)
+    assert tau == 0.7 and eps > 0.0
 
 
 def test_tune_trajectory_prefers_long_jumps():
     target = GaussianTarget(np.eye(2))
-    tau = tune_trajectory(target, [0.01, 0.7], pilot_iters=200, seed=1)
+    tau, _ = tune_trajectory(target, [0.01, 0.7], pilot_iters=200, seed=1)
     assert tau == 0.7
 
 

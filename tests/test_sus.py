@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from rareprob import (ConfigurationError, SusConfig, SusConvergenceError,
                       SusResult, level_threshold, make_benchmark,
                       subset_simulation)
 
-from conftest import make_constant_model, make_linear_model, phi
+from conftest import PROPERTY, make_constant_model, make_linear_model, phi
 
 
 def test_level_threshold_order_statistic():
@@ -26,6 +29,13 @@ def test_level_threshold_ties_deterministic():
     a = level_threshold(vals, 0.3)
     b = level_threshold(list(vals), 0.3)
     assert a == b == 2.0
+
+
+@PROPERTY
+@given(g=st.lists(st.floats(allow_nan=False), min_size=1, max_size=300),
+       p0=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_level_threshold_is_the_clipped_order_statistic(g, p0):
+    assert level_threshold(g, p0) == max(sorted(g)[math.ceil(p0 * len(g)) - 1], 0.0)
 
 
 def test_always_failing_terminates_at_level_zero():

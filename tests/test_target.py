@@ -4,15 +4,16 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rareprob import (AnnealSchedule, ConfigurationError, InvalidInputError,
-                      SmoothedTarget, annealed_params, compute_g_c,
+                      SmoothedTarget, compute_g_c,
                       make_benchmark, mu_from_percentile, weight_omega)
-from rareprob.target import SCALE_RATIO, log_weight_omega, softplus
+from rareprob.target import MU0, SCALE_RATIO, SIGMA0, log_weight_omega, softplus
 
 from rareprob import LimitStateModel
 
-from conftest import make_constant_model
+from conftest import PROPERTY, make_constant_model
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +195,26 @@ def test_annealing_endpoints(n_burnin):
     assert sched.at(n_burnin + 100) == (send, mend)
 
 
+# a subnormal sigma_final overflows SIGMA0 / sigma_final; 1e-6 is far below
+# any dispersion in use
+@PROPERTY
+@given(sigma_final=st.floats(1e-6, 1.0),
+       p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       n_burnin=st.integers(2, 2000))
+def test_annealing_schedule_properties(sigma_final, p, n_burnin):
+    mu_final = mu_from_percentile(p, sigma_final)
+    sched = AnnealSchedule(sigma_final=sigma_final, mu_final=mu_final,
+                           n_burnin=n_burnin)
+    sigmas, mus = np.array([sched.at(i) for i in range(1, n_burnin + 1)]).T
+    assert sigmas[0] == pytest.approx(SIGMA0, rel=1e-12)
+    # a location at or below zero (percentile >= 0.5) is not annealed
+    assert mus[0] == pytest.approx(MU0 if mu_final > 0 else mu_final, rel=1e-9)
+    assert sigmas[-1] == pytest.approx(sigma_final, rel=1e-9)
+    assert mus[-1] == pytest.approx(mu_final, rel=1e-9)
+    assert np.all(np.diff(sigmas) <= 0.0)
+    assert sched.at(n_burnin + 1) == sched.at(10 * n_burnin) == (sigmas[-1], mus[-1])
+
+
 def test_sigma_strictly_decreasing():
     sched = AnnealSchedule(sigma_final=0.3, mu_final=0.4, n_burnin=50)
     sigmas = [sched.at(i)[0] for i in range(1, 51)]
@@ -205,10 +226,14 @@ def test_annealing_requires_two_iterations():
         AnnealSchedule(sigma_final=0.4, mu_final=0.3, n_burnin=1)
 
 
-def test_annealed_params_helper():
-    sched = AnnealSchedule(sigma_final=0.4, mu_final=0.5, n_burnin=20)
-    params = annealed_params(sched, 1, p=0.1, g_c=2.0)
+def test_params_at_follows_the_schedule():
+    target = SmoothedTarget(make_constant_model(9.0, dim=2), sigma=0.4, p=0.1)
+    assert target.params_at(1) is target.final_params    # not annealed yet
+    target.anneal(20)
+    params = target.params_at(1)
     assert params.sigma == pytest.approx(1.0)
-    assert params.g_c == 2.0
+    assert params.g_c == 9.0
+    assert (params.sigma, params.mu_g) == target.schedule.at(1)
+    assert target.params_at(25) == target.params_at(20)
     with pytest.raises(InvalidInputError):
-        sched.at(0)
+        target.params_at(0)
