@@ -10,6 +10,15 @@ sampler, the BFGS matrix B on both during preconditioned burn-in, M^-1 on
 the velocity under a frozen mass M).  Random draws always happen in the
 same order (trajectory jitter, momentum, accept uniform), so two samplers
 fed the same generator and equivalent settings produce identical chains.
+
+No chain array is ever written in place: every position, momentum and
+gradient update binds a new array, and the start position is used as given.
+A state's theta never changes once created, so recording a chain needs no
+copy.  The per-step code keeps the floating-point operations of the plain
+forms and only trims call overhead: ``0.5 * eps`` is formed once per
+trajectory, products use ``ndarray.dot`` (the BLAS call behind ``@``, with
+less dispatch) and finiteness checks count finite entries instead of
+calling ``ndarray.all``.
 """
 
 from __future__ import annotations
@@ -69,27 +78,35 @@ def leapfrog(theta, z, grad, eps, n_steps, logp_grad, velocity=None, force=None,
     receives the (theta, grad) displacements of every completed step.
     Returns the final (theta, z, logp, grad, aux) plus a finite-ness flag.
     """
-    theta = np.array(theta, dtype=float)
-    z = np.array(z, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    z = np.asarray(z, dtype=float)
+    half = 0.5 * eps
     logp = None
     aux = None
     for _ in range(n_steps):
         theta_prev, grad_prev = theta, grad
-        z = z + 0.5 * eps * (grad if force is None else force(grad))
+        z = z + half * (grad if force is None else force(grad))
         theta = theta + eps * (z if velocity is None else velocity(z))
-        if not np.isfinite(theta).all():
+        if np.count_nonzero(np.isfinite(theta)) < theta.size:
             return theta, z, -math.inf, grad, aux, False
         logp, grad, aux = logp_grad(theta)
-        z = z + 0.5 * eps * (grad if force is None else force(grad))
-        if not (math.isfinite(logp) and np.isfinite(z).all()):
+        z = z + half * (grad if force is None else force(grad))
+        if not math.isfinite(logp) or np.count_nonzero(np.isfinite(z)) < z.size:
             return theta, z, logp, grad, aux, False
         if on_step is not None:
             on_step(theta - theta_prev, grad - grad_prev)
     return theta, z, logp, grad, aux, True
 
 
+# the kinetic energy of a runaway momentum may overflow; the non-finite
+# delta_h that follows counts it as a divergence
+@np.errstate(over="ignore")
+def _hamiltonian(logp, kinetic, z):
+    return -logp + kinetic(z)
+
+
 def _unit_kinetic(z):
-    return 0.5 * float(z @ z)
+    return 0.5 * float(z.dot(z))
 
 
 def draw_momentum(rng, d, mass=None, b_matrix=None):
@@ -105,7 +122,7 @@ def draw_momentum(rng, d, mass=None, b_matrix=None):
     z0 = rng.standard_normal(d)
     if b_matrix is None:
         return z0, _unit_kinetic, None, None
-    apply_b = lambda v: b_matrix @ v
+    apply_b = b_matrix.dot
     return z0, _unit_kinetic, apply_b, apply_b
 
 
@@ -126,11 +143,7 @@ def hmc_transition(state, logp_grad, eps, n_steps, rng, *, mass=None,
     diverged = not ok
     alpha = 0.0
     if ok:
-        # the kinetic energy of a runaway momentum may overflow; the
-        # non-finite delta_h below counts it as a divergence
-        with np.errstate(over="ignore"):
-            h1 = -logp + kinetic(z)
-        delta_h = h1 - h0
+        delta_h = _hamiltonian(logp, kinetic, z) - h0
         diverged = not math.isfinite(delta_h) or abs(delta_h) > max_delta_h
         if not diverged:
             alpha = min(1.0, math.exp(min(0.0, -delta_h)))

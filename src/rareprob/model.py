@@ -76,7 +76,7 @@ class LimitStateModel:
             raise DimensionError(
                 f"{self.name}: expected shape ({self.dim},), got {theta.shape}"
             )
-        if not np.isfinite(theta).all():
+        if np.count_nonzero(np.isfinite(theta)) < self.dim:
             raise InvalidInputError(f"{self.name}: non-finite component in theta")
         g, grad = self._func(theta)
         self._counter.add(1)

@@ -132,7 +132,7 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
                                max_steps=config.max_leapfrog_steps)
             if da is not None:
                 eps = da.update(info["alpha"])
-            record.append((state.theta.copy(), state.aux[0], info))
+            record.append((state.theta, state.aux[0], info))
         return state, eps
 
     # the step functions are looked up here, at call time, never bound early
@@ -152,7 +152,7 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
     if bfgs is not None:
         mass, state = finalize_mass(
             bfgs, state, target.logp_grad, eps_main, config.tau, rng,
-            record=lambda st, info: burn.append((st.theta.copy(), st.aux[0], info)),
+            record=lambda st, info: burn.append((st.theta, st.aux[0], info)),
             max_delta_h=config.max_delta_h, max_steps=config.max_leapfrog_steps)
         if config.epsilon is None:
             # The preconditioned kinetics rescale the dynamics, so the

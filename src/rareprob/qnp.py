@@ -10,6 +10,8 @@ becomes the mass matrix of the non-adaptive phase.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,19 +33,40 @@ def bfgs_update(w, s, y, gate=1e-12, norm_cap=1e3):
     """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    # a pair from a divergent step can overflow here; the infinite norms
-    # then fail the gate and the pair is skipped
-    with np.errstate(over="ignore"):
-        ys = float(y @ s)
-        degenerate = abs(ys) <= gate * np.linalg.norm(y) * np.linalg.norm(s)
+    ys, degenerate = _curvature(s, y, gate)
     if degenerate:
         return None
     rho = 1.0 / ys
-    v = np.eye(s.size) - rho * np.outer(s, y)
-    w_new = v @ w @ v.T + rho * np.outer(s, s)
-    if norm_cap is not None and np.linalg.norm(w_new) > norm_cap:
+    v = _eye(s.size) - rho * (s[:, None] * y)
+    w_new = v @ w @ v.T + rho * (s[:, None] * s)
+    if norm_cap is not None and _norm(w_new) > norm_cap:
         return None
     return 0.5 * (w_new + w_new.T)
+
+
+def _norm(x):
+    """The 2-norm of a vector, Frobenius of a matrix: np.linalg.norm's own
+    definition, sqrt(x.dot(x)) over the flattened entries, without its
+    dispatch."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+# a pair from a divergent step can overflow here; the infinite norms then
+# fail the gate and the pair is skipped
+@np.errstate(over="ignore")
+def _curvature(s, y, gate):
+    """(y.s, whether |y.s| falls below the degeneracy gate)."""
+    ys = float(y.dot(s))
+    return ys, abs(ys) <= gate * _norm(y) * _norm(s)
+
+
+@functools.lru_cache(maxsize=16)
+def _eye(d):
+    """A read-only identity of size d, built once per dimension."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 class BfgsState:
@@ -134,14 +157,14 @@ class MassState:
         return cls(w=eye, m=eye.copy(), chol_m=eye.copy())
 
     def sample_momentum(self, rng):
-        return self.chol_m @ rng.standard_normal(self.m.shape[0])
+        return self.chol_m.dot(rng.standard_normal(self.m.shape[0]))
 
     def kinetic(self, z):
         # 0.5 z' M^-1 z, with M^-1 = W exactly
-        return 0.5 * float(z @ (self.w @ z))
+        return 0.5 * float(z.dot(self.w.dot(z)))
 
     def velocity(self, z):
-        return self.w @ z
+        return self.w.dot(z)
 
 
 def qnp_burnin_iteration(state, logp_grad, eps, tau, rng, bfgs,

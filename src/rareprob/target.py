@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,14 @@ _EXP_CLAMP = 700.0
 
 
 def softplus(u):
-    """Overflow-safe log(1 + e^u)."""
+    """Overflow-safe log(1 + e^u).
+
+    A float takes the same numpy log1p and exp as an array, without the
+    array round trip (math.log1p and math.exp differ from numpy's in the
+    last bit on some inputs).
+    """
+    if type(u) is float:
+        return max(u, 0.0) + float(np.log1p(np.exp(-abs(u))))
     u = np.asarray(u, dtype=float)
     out = np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
     return float(out) if out.ndim == 0 else out
@@ -39,7 +47,7 @@ def sigmoid(u):
 @np.errstate(over="ignore")
 def _half_sq_norm(theta):
     # a divergent trajectory may overflow |theta|^2: the log density is -inf
-    return 0.5 * float(theta @ theta)
+    return 0.5 * float(theta.dot(theta))
 
 
 def compute_g_c(g_at_origin):
@@ -83,19 +91,30 @@ SIGMA0, MU0 = 1.0, 1e-4
 
 @dataclass(frozen=True)
 class LikelihoodParams:
-    """Frozen likelihood parameters of the smoothed target."""
+    """Frozen likelihood parameters of the smoothed target; the derived c and
+    ln Omega are computed once per object, on first use."""
 
     sigma: float
     mu_g: float
     g_c: float
 
-    @property
+    @cached_property
     def c(self):
         return SCALE_RATIO * self.sigma
 
-    @property
+    @cached_property
     def log_omega(self):
         return log_weight_omega(self.mu_g, self.sigma)
+
+
+def _log_ratio(start, final, name):
+    """ln(start / final); a subnormal final value overflows the ratio, and
+    the schedule would then divide by zero."""
+    ratio = start / final
+    if math.isinf(ratio):
+        raise ConfigurationError(
+            f"{name}={final!r} is too small to anneal to from {start!r}")
+    return math.log(ratio)
 
 
 @dataclass
@@ -121,12 +140,12 @@ class AnnealSchedule:
             )
         span = self.n_burnin - 1
         if self.sigma_final < SIGMA0:
-            self._a2 = span / math.log(SIGMA0 / self.sigma_final)
+            self._a2 = span / _log_ratio(SIGMA0, self.sigma_final, "sigma_final")
             self._a1 = SIGMA0 / math.exp(-1.0 / self._a2)
         else:
             self._a2 = None  # constant schedule
         if self.mu_final > 0 and self.mu_final != MU0:
-            self._b2 = span / math.log(MU0 / self.mu_final)
+            self._b2 = span / _log_ratio(MU0, self.mu_final, "mu_final")
             self._b1 = MU0 / math.exp(-1.0 / self._b2)
         else:
             self._b2 = None

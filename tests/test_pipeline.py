@@ -104,6 +104,14 @@ def test_config_validation():
                   method="nuts")
 
 
+@pytest.mark.parametrize("sigma", [5e-324, 1e-310])
+def test_subnormal_sigma_is_a_configuration_error(sigma):
+    # the burn-in schedule cannot anneal down to a subnormal dispersion
+    with pytest.raises(ConfigurationError, match="too small to anneal"):
+        run_astpa(make_benchmark("example1"),
+                  AstpaConfig(sigma=sigma, n_burnin=20, budget=200), 1)
+
+
 def test_n_iter_mode():
     model = make_benchmark("example1")
     report, art = run_astpa(model, AstpaConfig(sigma=0.4, n_burnin=20,

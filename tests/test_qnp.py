@@ -51,6 +51,44 @@ def test_update_skips_overflowing_pair_without_warning():
         assert bfgs_update(np.eye(3), big, -big) is None
 
 
+def _textbook_bfgs_update(w, s, y, gate=1e-12, norm_cap=1e3):
+    ys = float(y @ s)
+    if abs(ys) <= gate * np.linalg.norm(y) * np.linalg.norm(s):
+        return None
+    rho = 1.0 / ys
+    v = np.eye(s.size) - rho * np.outer(s, y)
+    w_new = v @ w @ v.T + rho * np.outer(s, s)
+    if np.linalg.norm(w_new) > norm_cap:
+        return None
+    return 0.5 * (w_new + w_new.T)
+
+
+@pytest.mark.parametrize("d", [2, 10, 100])
+def test_update_equals_the_textbook_expression_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((d, d)) / math.sqrt(d)
+    hessian = a @ a.T + np.eye(d)
+    pairs = []
+    for _ in range(30):
+        s = 0.3 * rng.standard_normal(d)
+        pairs.append((s, hessian @ s))                       # curvature pair
+        pairs.append((s, rng.standard_normal(d)))            # noisy pair
+    e = np.eye(d)
+    pairs.append((e[0], e[1]))                               # skipped: y.s = 0
+    pairs.append((np.full(d, 100.0), np.full(d, 1e-3)))      # capped norm
+    w = np.eye(d)
+    outcomes = []
+    for s, y in pairs:
+        got, want = bfgs_update(w, s, y), _textbook_bfgs_update(w, s, y)
+        outcomes.append(want is not None)
+        if want is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, want)
+            w = got
+    assert outcomes[-2:] == [False, False] and sum(outcomes) > 30
+
+
 def test_secant_and_spd_preservation_random():
     rng = np.random.default_rng(21)
     w = np.eye(4)

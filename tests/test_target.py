@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import mpmath
@@ -9,7 +10,8 @@ from hypothesis import given, strategies as st
 from rareprob import (AnnealSchedule, ConfigurationError, InvalidInputError,
                       SmoothedTarget, compute_g_c,
                       make_benchmark, mu_from_percentile, weight_omega)
-from rareprob.target import MU0, SCALE_RATIO, SIGMA0, log_weight_omega, softplus
+from rareprob.target import (MU0, SCALE_RATIO, SIGMA0, LikelihoodParams,
+                             log_weight_omega, softplus)
 
 from rareprob import LimitStateModel
 
@@ -85,6 +87,28 @@ def test_softplus_large_argument():
     assert 50.0 <= softplus(50.0) <= 50.0 + 1e-20
     assert softplus(-800.0) == 0.0
     assert softplus(800.0) == 800.0
+
+
+def test_softplus_float_path_matches_array_path_bit_for_bit():
+    # a float skips the array round trip; a 0-d array takes the array path
+    rng = np.random.default_rng(5)
+    edges = [sign * v for v in (0.0, 1e-300, 700.0, 750.0, 1e308, math.inf)
+             for sign in (1.0, -1.0)] + [math.nan]
+    normals = [float(x) for scale in (0.1, 1.0, 10.0, 100.0, 1000.0)
+               for x in scale * rng.standard_normal(2000)]
+    for u in edges + normals:
+        fast = softplus(u)
+        assert type(fast) is float
+        assert fast.hex() == softplus(np.array(u)).hex(), u
+
+
+@pytest.mark.parametrize("sigma,mu_g", [(SIGMA0, MU0), (0.4, 0.5), (0.05, -0.3),
+                                        (1e-6, 2.0)])
+def test_likelihood_params_derived_values_are_exact(sigma, mu_g):
+    params = LikelihoodParams(sigma=sigma, mu_g=mu_g, g_c=1.0)
+    for _ in range(2):    # computed on first use, read back after
+        assert params.c == SCALE_RATIO * sigma
+        assert params.log_omega == log_weight_omega(mu_g, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +190,54 @@ def test_view_of_divergent_point_is_minus_inf_without_warning():
     assert logp == -math.inf
 
 
+def _points_and_slopes(theta_bound, slope_bound):
+    """(theta_i, a_i) pairs of a 1- to 5-dim point and linear-model slope."""
+    pair = st.tuples(st.floats(-theta_bound, theta_bound),
+                     st.floats(-slope_bound, slope_bound))
+    return st.integers(1, 5).flatmap(lambda d: st.tuples(*[pair] * d))
+
+
+def _linear_target(a, b, sigma, p):
+    model = LimitStateModel("affine", a.size, lambda th: (float(a @ th) + b, a))
+    return SmoothedTarget(model, sigma=sigma, p=p)
+
+
+# g = a.theta + b with g_c = 1 (b <= 0 or 1 <= b <= 8) and sigma >= 0.1, so
+# the likelihood is smooth enough for a finite-difference check
+@PROPERTY
+@given(theta_a=_points_and_slopes(5.0, 3.0),
+       b=st.floats(-4.0, 0.0) | st.floats(1.0, 8.0),
+       sigma=st.floats(0.1, 1.0), p=st.floats(0.01, 0.99),
+       dg=st.floats(0.0, 50.0))
+def test_view_properties_on_a_linear_model(theta_a, b, sigma, p, dg):
+    theta, a = (np.array(v) for v in zip(*theta_a))
+    target = _linear_target(a, b, sigma, p)
+    g = float(a @ theta) + b
+    logp, grad, log_ell = target.view(theta, g, a)
+    assert log_ell == target.log_likelihood(g, target.final_params)
+    # a larger g (further into the safe domain) never raises the density
+    assert target.view(theta, g + dg, a)[0] <= logp
+
+    def logp_at(th):
+        return target.view(th, float(a @ th) + b, a)[0]
+
+    h = 1e-6
+    fd = np.array([(logp_at(theta + h * e) - logp_at(theta - h * e)) / (2 * h)
+                   for e in np.eye(theta.size)])
+    assert np.linalg.norm(grad - fd) <= 1e-6 * max(np.linalg.norm(grad), 1.0)
+
+
+@PROPERTY
+@given(theta_a=_points_and_slopes(1e3, 1e3), b=st.floats(-1e3, 1e3),
+       sigma=st.floats(1e-3, 1.0), p=st.floats(1e-6, 1.0 - 1e-6))
+def test_view_is_finite_for_finite_inputs(theta_a, b, sigma, p):
+    theta, a = (np.array(v) for v in zip(*theta_a))
+    target = _linear_target(a, b, sigma, p)
+    logp, grad, log_ell = target.view(theta, float(a @ theta) + b, a)
+    assert math.isfinite(logp) and math.isfinite(log_ell)
+    assert np.all(np.isfinite(grad))
+
+
 def test_log_target_monotone_in_g():
     # for fixed |theta|, larger g means smaller likelihood and density
     model = make_constant_model(0.0, dim=2)
@@ -219,6 +291,26 @@ def test_sigma_strictly_decreasing():
     sched = AnnealSchedule(sigma_final=0.3, mu_final=0.4, n_burnin=50)
     sigmas = [sched.at(i)[0] for i in range(1, 51)]
     assert np.all(np.diff(sigmas) < 0)
+
+
+@pytest.mark.parametrize("sigma_final", [5e-324, 1e-310])
+def test_annealing_to_a_subnormal_sigma_is_a_configuration_error(sigma_final):
+    # SIGMA0 / sigma_final overflows: the schedule would divide by zero
+    with pytest.raises(ConfigurationError, match="sigma_final"):
+        AnnealSchedule(sigma_final=sigma_final,
+                       mu_final=mu_from_percentile(0.1, sigma_final), n_burnin=20)
+    # MU0 / mu_final overflows below about 5.6e-313
+    with pytest.raises(ConfigurationError, match="mu_final"):
+        AnnealSchedule(sigma_final=0.4, mu_final=min(sigma_final, 1e-313),
+                       n_burnin=20)
+
+
+def test_annealing_to_the_smallest_normal_sigma_still_works():
+    tiny = sys.float_info.min
+    sched = AnnealSchedule(sigma_final=tiny, mu_final=mu_from_percentile(0.1, tiny),
+                           n_burnin=20)
+    assert sched.at(1)[0] == pytest.approx(SIGMA0, rel=1e-12)
+    assert sched.at(20)[0] == pytest.approx(tiny, rel=1e-9)
 
 
 def test_annealing_requires_two_iterations():

@@ -62,3 +62,16 @@ def test_traced_run_records_every_phase(spans):
     fit, gmm = (np.flatnonzero(arrays["name"] == names.index(n))[0]
                 for n in ("iis.fit_subspace_density", "iis.fit_gmm"))
     assert arrays["parent"][gmm] == fit
+    # the per-step layers stay behind their traced names: every model call
+    # but the origin's goes through the traced logp_grad, one BFGS update at
+    # most per burn-in leapfrog step, one rollback at most per burn-in
+    # iteration (extra SPD iterations run inside finalize_mass)
+    assert counts["model.evaluate"] == counts["target.logp_grad"] + 1
+    burnin_parents = {names.index(n) for n in ("pipeline.qnp_burnin_iteration",
+                                               "pipeline.finalize_mass")}
+    burnin_steps = sum(
+        recorder.extra[sid] for sid in np.flatnonzero(
+            arrays["name"] == names.index("hmc.transition"))
+        if arrays["name"][arrays["parent"][sid]] in burnin_parents)
+    assert 0 < counts.get("qnp.bfgs_update", 0) <= burnin_steps
+    assert 0 < counts.get("qnp.bfgs.restore", 0) <= n_burnin + extra
