@@ -14,8 +14,7 @@ from rareprob import AstpaConfig, make_benchmark, run_astpa
 warnings.simplefilter("ignore")
 
 model = make_benchmark("example1")
-config = AstpaConfig(sigma=0.4, tau=0.7, n_burnin=100, budget=1600,
-                     max_leapfrog_steps=30)
+config = AstpaConfig(sigma=0.4, tau=0.7, n_burnin=100, budget=1600)
 report, art = run_astpa(model, config, seed=2024, method="hmcmc")
 
 print("Standard sampler on the convex benchmark (reference p_F ~ 4.73e-6)")

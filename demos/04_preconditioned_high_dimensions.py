@@ -22,8 +22,7 @@ exact = 0.5 * math.erfc(beta / math.sqrt(2.0))
 print(f"Linear benchmark, d = 100, beta = {beta}: exact p_F = {exact:.4e}")
 print()
 
-config = AstpaConfig(sigma=0.4, tau=0.7, n_burnin=500, budget=6000,
-                     max_leapfrog_steps=30)
+config = AstpaConfig(sigma=0.4, tau=0.7, n_burnin=500, budget=6000)
 
 t0 = time.perf_counter()
 estimates = []

@@ -43,8 +43,7 @@ pf, calls = [], []
 for rep in range(N_REPS):
     model = make_benchmark("example1")
     report, _ = run_astpa(model, AstpaConfig(sigma=0.4, tau=0.7, n_burnin=100,
-                                             budget=600,
-                                             max_leapfrog_steps=30),
+                                             budget=600),
                           seed=1000 + rep, method="qnp-hmcmc")
     pf.append(report.p_hat)
     calls.append(report.model_calls)

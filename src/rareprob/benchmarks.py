@@ -353,7 +353,6 @@ def make_benchmark(spec_or_id, **overrides):
     entry = _REGISTRY.get(spec.benchmark_id) or _USER_REGISTRY.get(spec.benchmark_id)
     func, batch, dim = entry["factory"](spec.params)
     model = LimitStateModel(spec.benchmark_id, dim, func, batch_value=batch)
-    model.spec = spec
     model.p_f_ref = spec.p_f_ref
     return model
 

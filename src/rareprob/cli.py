@@ -20,6 +20,7 @@ from .errors import (ConfigurationError, EstimationError, InvalidInputError,
 from .harness import parse_config, run_experiment, sweep
 from .hmc import tune_trajectory
 from .model import crude_monte_carlo
+from .pipeline import AstpaConfig
 from .target import SmoothedTarget
 
 EXIT_CONFIG = 2
@@ -96,7 +97,8 @@ def cmd_oracle(args):
 def cmd_tune(args):
     spec = resolve_spec(args.problem)
     model = make_benchmark(spec)
-    sigma = args.sigma if args.sigma is not None else spec.astpa_defaults.get("sigma", 0.4)
+    sigma = args.sigma if args.sigma is not None \
+        else spec.astpa_defaults.get("sigma", AstpaConfig.sigma)
     target = SmoothedTarget(model, sigma=sigma)
     candidates = [float(v) for v in args.candidates.split(",")]
     tau, eps = tune_trajectory(target, candidates, args.pilot_iters,

@@ -14,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,6 +44,7 @@ class RunConfig:
     master_seed: int = 0
     outputs: dict = field(default_factory=dict)
     n_jobs: int = 1
+    method_config: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -59,8 +60,9 @@ class RunConfig:
         for key in self.outputs:
             if key not in _OUTPUT_KEYS:
                 raise ConfigurationError(f"unknown output key {key!r}")
-        # validates the problem id and its parameter names
-        resolve_spec(self.problem, **self.problem_params)
+        # validates the problem and method values once, before any replication
+        spec = resolve_spec(self.problem, **self.problem_params)
+        self.method_config = _method_config(self.method, spec, self.method_params)
 
     def to_dict(self):
         flat = {"problem": self.problem, "method": self.method,
@@ -78,6 +80,19 @@ def _method_keys(method):
     if method in ("sus-uniform", "sus-normal"):
         return _SUS_KEYS
     return _MC_KEYS
+
+
+def _method_config(method, spec, params):
+    """The method's AstpaConfig or SusConfig: registry defaults, overrides on top."""
+    try:
+        if method in ASTPA_METHODS:
+            return AstpaConfig(**{**spec.astpa_defaults, **params})
+        if method in ("sus-uniform", "sus-normal"):
+            return SusConfig(proposal=method.split("-", 1)[1],
+                             **{**spec.sus_defaults, **params})
+    except TypeError as exc:      # a value of the wrong type, e.g. a string
+        raise ConfigurationError(f"bad {method} setting: {exc}") from exc
+    return None
 
 
 def parse_config(flat):
@@ -187,28 +202,18 @@ class AggregateReport:
 def run_replication(config, rep):
     """One fully independent estimation; returns a report row."""
     seed = replication_seed(config.master_seed, rep)
-    spec = resolve_spec(config.problem, **config.problem_params)
-    model = make_benchmark(spec)
+    model = make_benchmark(config.problem, **config.problem_params)
     t0 = time.perf_counter()
 
     if config.method in ASTPA_METHODS:
-        merged = dict(spec.astpa_defaults)
-        merged.update(config.method_params)
-        if "n_iter" in config.method_params and "budget" not in config.method_params:
-            merged.pop("budget", None)
-        sigma = merged.pop("sigma", 0.4)
-        astpa = AstpaConfig(sigma=sigma, **merged)
-        report, _ = run_astpa(model, astpa, seed, method=config.method)
+        report, _ = run_astpa(model, config.method_config, seed,
+                              method=config.method)
         row = {"rep": rep, "seed": seed, "pf_hat": report.p_hat,
                "model_calls": report.model_calls,
                "cov_analytic": report.cov_analytic,
                "accept_rate": report.accept_rate}
     elif config.method in ("sus-uniform", "sus-normal"):
-        defaults = dict(spec.sus_defaults)
-        defaults.update(config.method_params)
-        sus_cfg = SusConfig(proposal=config.method.split("-", 1)[1],
-                            seed=seed, **defaults)
-        result = subset_simulation(model, sus_cfg)
+        result = subset_simulation(model, replace(config.method_config, seed=seed))
         row = {"rep": rep, "seed": seed, "pf_hat": result.p_hat,
                "model_calls": result.model_calls,
                "cov_analytic": None, "accept_rate": None}

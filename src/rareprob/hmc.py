@@ -32,6 +32,9 @@ from .errors import TuningError
 
 LOG_HALF = math.log(0.5)
 LOG2 = math.log(2.0)
+MAX_DELTA_H = 1000.0        # an energy error beyond this counts as divergent
+MAX_DOUBLINGS = 60          # step-size search trials after the first
+JITTER_LO, JITTER_HI = 0.9, 1.1   # trajectory-length jitter, as fractions of tau
 
 
 @dataclass
@@ -64,9 +67,9 @@ def trajectory_discretization(tau_m, eps, max_steps=None):
     return n, eps_eff
 
 
-def jitter_tau(tau, rng, lo=0.9, hi=1.1):
+def jitter_tau(tau, rng):
     """Uniform perturbation of the trajectory length to break periodicity."""
-    return rng.uniform(lo * tau, hi * tau)
+    return rng.uniform(JITTER_LO * tau, JITTER_HI * tau)
 
 
 def leapfrog(theta, z, grad, eps, n_steps, logp_grad, velocity=None, force=None,
@@ -127,7 +130,7 @@ def draw_momentum(rng, d, mass=None, b_matrix=None):
 
 
 def hmc_transition(state, logp_grad, eps, n_steps, rng, *, mass=None,
-                   b_matrix=None, on_step=None, max_delta_h=1000.0):
+                   b_matrix=None, on_step=None):
     """One momentum-resample / integrate / Metropolis step.
 
     ``mass`` and ``b_matrix`` select the kinetics (see draw_momentum).
@@ -144,7 +147,7 @@ def hmc_transition(state, logp_grad, eps, n_steps, rng, *, mass=None,
     alpha = 0.0
     if ok:
         delta_h = _hamiltonian(logp, kinetic, z) - h0
-        diverged = not math.isfinite(delta_h) or abs(delta_h) > max_delta_h
+        diverged = not math.isfinite(delta_h) or abs(delta_h) > MAX_DELTA_H
         if not diverged:
             alpha = min(1.0, math.exp(min(0.0, -delta_h)))
 
@@ -156,13 +159,11 @@ def hmc_transition(state, logp_grad, eps, n_steps, rng, *, mass=None,
     return new_state, info
 
 
-def hmc_iteration(state, target_logp_grad, eps, tau, rng, mass=None,
-                  max_delta_h=1000.0, max_steps=None):
+def hmc_iteration(state, target_logp_grad, eps, tau, rng, mass=None, max_steps=None):
     """Full iteration: jittered trajectory length, then one transition."""
     n_steps, eps_eff = trajectory_discretization(jitter_tau(tau, rng), eps,
                                                  max_steps)
-    return hmc_transition(state, target_logp_grad, eps_eff, n_steps, rng,
-                          mass=mass, max_delta_h=max_delta_h)
+    return hmc_transition(state, target_logp_grad, eps_eff, n_steps, rng, mass=mass)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +182,9 @@ class DualAveraging:
     GAMMA = 0.05
     T0 = 10.0
     KAPPA = 0.75
+    TARGET_ACCEPT = 0.65  # acceptance rate of the generic guidance
     ANCHOR_SCALE = 10.0   # anchor at log(ANCHOR_SCALE * eps0)
     eps0: float
-    target_accept: float = 0.65
     mu: float = field(init=False)
     log_eps: float = field(init=False)
     log_eps_bar: float = field(init=False)
@@ -200,7 +201,7 @@ class DualAveraging:
         self.t += 1
         m = self.t
         eta = 1.0 / (m + self.T0)
-        self.h_bar = (1.0 - eta) * self.h_bar + eta * (self.target_accept - accept_prob)
+        self.h_bar = (1.0 - eta) * self.h_bar + eta * (self.TARGET_ACCEPT - accept_prob)
         self.log_eps = self.mu - math.sqrt(m) / self.GAMMA * self.h_bar
         w = m ** (-self.KAPPA)
         self.log_eps_bar = w * self.log_eps + (1.0 - w) * self.log_eps_bar
@@ -216,7 +217,7 @@ class DualAveraging:
         return math.exp(self.log_eps_bar)
 
 
-def find_reasonable_epsilon(state, logp_grad, rng, mass=None, max_doublings=60):
+def find_reasonable_epsilon(state, logp_grad, rng, mass=None):
     """Doubling/halving search for a step size with joint-density ratio ~ 1/2.
 
     One leapfrog step per trial, so one model call per trial.
@@ -238,7 +239,7 @@ def find_reasonable_epsilon(state, logp_grad, rng, mass=None, max_doublings=60):
         eps *= 0.5
         r = log_ratio(eps)
     a = 1.0 if r > LOG_HALF else -1.0
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         if not (a * r > -a * LOG2):
             break
         eps *= 2.0 ** a
@@ -257,8 +258,7 @@ def find_reasonable_epsilon(state, logp_grad, rng, mass=None, max_doublings=60):
 # trajectory-length selection
 # ---------------------------------------------------------------------------
 
-def tune_trajectory(target, candidate_taus, pilot_iters, seed,
-                    target_accept=0.65):
+def tune_trajectory(target, candidate_taus, pilot_iters, seed):
     """Pick the trajectory length maximizing the normalized expected square
     jumping distance, mean ||theta_{m+1} - theta_m||^2 / sqrt(tau).
 
@@ -279,8 +279,7 @@ def tune_trajectory(target, candidate_taus, pilot_iters, seed,
         th0 = np.zeros(target.d)
         logp, grad, aux = target.logp_grad(th0)
         state = ChainState(theta=th0, logp=logp, grad=grad, aux=aux)
-        da = DualAveraging(find_reasonable_epsilon(state, target.logp_grad, rng),
-                           target_accept=target_accept)
+        da = DualAveraging(find_reasonable_epsilon(state, target.logp_grad, rng))
         eps = da.current_eps
         total = 0.0
         n_ok = 0

@@ -24,34 +24,29 @@ from .qnp import BfgsState, MassState, finalize_mass, qnp_burnin_iteration, \
 from .target import SmoothedTarget
 
 METHODS = ("hmcmc", "qnp-hmcmc")
+MAX_LEAPFROG_STEPS = 30     # cost guard while adaptation is in flux
 
 
 @dataclass
 class AstpaConfig:
     """Settings of one estimation run (defaults follow the generic guidance:
-    percentile 0.1, trajectory length 0.7, 65% target acceptance, burn-in
-    near 10% of the model-call budget).
+    dispersion 0.4, percentile 0.1, trajectory length 0.7, burn-in near 10%
+    of the model-call budget).
 
     The main phase starts a trajectory while fewer than ``budget`` model
     calls have been made and always finishes it, so a run may overshoot the
-    budget by up to ``max_leapfrog_steps - 1`` calls.  With ``budget`` unset,
-    the main phase runs exactly ``n_iter`` iterations.
+    budget by up to ``MAX_LEAPFROG_STEPS - 1`` calls.
     """
 
-    sigma: float
+    sigma: float = 0.4
     p: float = 0.1
     tau: float = 0.7
-    epsilon: float | None = None
-    target_accept: float = 0.65
     n_burnin: int | None = None
     budget: int | None = None
-    n_iter: int | None = None
-    max_delta_h: float = 1000.0
-    max_leapfrog_steps: int = 30   # cost guard while adaptation is in flux
 
     def __post_init__(self):
-        if self.budget is None and self.n_iter is None:
-            raise ConfigurationError("either budget or n_iter must be set")
+        if self.budget is None:
+            raise ConfigurationError("budget must be set")
         if not 0.0 < self.sigma <= 1.0:
             raise ConfigurationError(f"sigma must be in (0, 1], got {self.sigma}")
         if not 0.0 < self.p < 1.0:
@@ -79,10 +74,8 @@ def _calibration_window(n_burnin):
 def _resolve_n_burnin(config, eps0):
     if config.n_burnin is not None:
         return int(config.n_burnin)
-    if config.budget is not None:
-        steps = max(1, round(config.tau / eps0))
-        return max(2, int(round(0.10 * config.budget / steps)))
-    return max(2, int(round(0.10 * config.n_iter)))
+    steps = max(1, round(config.tau / eps0))
+    return max(2, int(round(0.10 * config.budget / steps)))
 
 
 def run_astpa(model, config, seed, method="qnp-hmcmc"):
@@ -102,15 +95,11 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
                                          target.origin_eval),
                       target.initial_params)
 
-    if config.epsilon is not None:
-        eps0 = float(config.epsilon)
-    else:
-        eps0 = find_reasonable_epsilon(
-            state, lambda th: target.logp_grad(th, target.initial_params), rng)
+    eps0 = find_reasonable_epsilon(
+        state, lambda th: target.logp_grad(th, target.initial_params), rng)
     n_burnin = _resolve_n_burnin(config, eps0)
     target.anneal(n_burnin)
-    da = DualAveraging(eps0, target_accept=config.target_accept)
-    eps = da.current_eps if config.epsilon is None else config.epsilon
+    da = DualAveraging(eps0)
     burn, main = [], []     # (theta, g, info) per recorded iteration
 
     def run_phase(state, step, arg, eps, da, record, n=None, annealed=False):
@@ -118,7 +107,7 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
 
         ``da`` adapts the step size when given; an annealed phase re-weights
         the chain to the schedule of every 1-based iteration first.
-        Returns (state, eps).
+        Returns the final state.
         """
         m = 0
         while (m < n) if n is not None else (model.call_count < config.budget):
@@ -128,12 +117,11 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
                 state = _reweight(target, state, params)
             state, info = step(state, lambda th: target.logp_grad(th, params),
                                eps, config.tau, rng, arg,
-                               max_delta_h=config.max_delta_h,
-                               max_steps=config.max_leapfrog_steps)
+                               max_steps=MAX_LEAPFROG_STEPS)
             if da is not None:
                 eps = da.update(info["alpha"])
             record.append((state.theta, state.aux[0], info))
-        return state, eps
+        return state
 
     # the step functions are looked up here, at call time, never bound early
     if method == "qnp-hmcmc":
@@ -142,10 +130,9 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
     else:
         bfgs = None
         burnin_step = main_step = hmc_iteration
-    state, eps = run_phase(state, burnin_step, bfgs, eps,
-                           da if config.epsilon is None else None, burn,
-                           n_burnin, annealed=True)
-    eps_main = da.frozen_eps if (config.epsilon is None and n_burnin > 0) else eps
+    state = run_phase(state, burnin_step, bfgs, da.current_eps, da, burn,
+                      n_burnin, annealed=True)
+    eps_main = da.frozen_eps
     state = _reweight(target, state)
 
     mass = None
@@ -153,22 +140,20 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
         mass, state = finalize_mass(
             bfgs, state, target.logp_grad, eps_main, config.tau, rng,
             record=lambda st, info: burn.append((st.theta, st.aux[0], info)),
-            max_delta_h=config.max_delta_h, max_steps=config.max_leapfrog_steps)
-        if config.epsilon is None:
-            # The preconditioned kinetics rescale the dynamics, so the
-            # burn-in step size does not carry over.  Re-anchor with the
-            # same search heuristic under the new mass, then settle it with
-            # a short adaptive window before freezing; these iterations are
-            # still part of the adaptive phase and excluded from estimation.
-            eps_cal = find_reasonable_epsilon(state, target.logp_grad, rng,
-                                              mass=mass)
-            da_cal = DualAveraging(eps_cal, target_accept=config.target_accept)
-            state, _ = run_phase(state, main_step, mass, da_cal.current_eps,
-                                 da_cal, burn, _calibration_window(n_burnin))
-            eps_main = da_cal.frozen_eps
+            max_steps=MAX_LEAPFROG_STEPS)
+        # The preconditioned kinetics rescale the dynamics, so the burn-in
+        # step size does not carry over.  Re-anchor with the same search
+        # heuristic under the new mass, then settle it with a short adaptive
+        # window before freezing; these iterations are still part of the
+        # adaptive phase and excluded from estimation.
+        eps_cal = find_reasonable_epsilon(state, target.logp_grad, rng,
+                                          mass=mass)
+        da_cal = DualAveraging(eps_cal)
+        state = run_phase(state, main_step, mass, da_cal.current_eps, da_cal,
+                          burn, _calibration_window(n_burnin))
+        eps_main = da_cal.frozen_eps
 
-    run_phase(state, main_step, mass, eps_main, None, main,
-              None if config.budget is not None else config.n_iter)
+    run_phase(state, main_step, mass, eps_main, None, main)
     if not main:
         raise EstimationError(
             f"budget {config.budget} exhausted before the main phase "

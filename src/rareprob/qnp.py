@@ -167,8 +167,7 @@ class MassState:
         return self.w.dot(z)
 
 
-def qnp_burnin_iteration(state, logp_grad, eps, tau, rng, bfgs,
-                         max_delta_h=1000.0, max_steps=None):
+def qnp_burnin_iteration(state, logp_grad, eps, tau, rng, bfgs, max_steps=None):
     """Adaptive-phase iteration: identity-mass momentum, dynamics driven by
     the W snapshot, curvature pairs harvested per leapfrog step, rollback of
     W on rejection."""
@@ -179,37 +178,32 @@ def qnp_burnin_iteration(state, logp_grad, eps, tau, rng, bfgs,
     # approximates the local covariance (SPD wherever s'y > 0)
     new_state, info = hmc_transition(state, logp_grad, eps_eff, n_steps, rng,
                                      b_matrix=snap[0],
-                                     on_step=lambda s, y: bfgs.update(s, -y),
-                                     max_delta_h=max_delta_h)
+                                     on_step=lambda s, y: bfgs.update(s, -y))
     if not info["accepted"]:
         bfgs.restore(snap)
     return new_state, info
 
 
-def qnp_main_iteration(state, logp_grad, eps, tau, rng, mass,
-                       max_delta_h=1000.0, max_steps=None):
+def qnp_main_iteration(state, logp_grad, eps, tau, rng, mass, max_steps=None):
     """Non-adaptive iteration with momentum ~ N(0, M), M = W^-1."""
     n_steps, eps_eff = trajectory_discretization(jitter_tau(tau, rng), eps,
                                                  max_steps)
-    return hmc_transition(state, logp_grad, eps_eff, n_steps, rng, mass=mass,
-                          max_delta_h=max_delta_h)
+    return hmc_transition(state, logp_grad, eps_eff, n_steps, rng, mass=mass)
 
 
 def finalize_mass(bfgs, state, logp_grad, eps, tau, rng, extra_cap=50,
-                  record=None, max_delta_h=1000.0, max_steps=None):
+                  record=None, max_steps=None):
     """Freeze the burn-in W into a mass state.
 
     If W is not positive definite, keep running burn-in iterations (up to
-    ``extra_cap``, under the same ``max_delta_h`` and ``max_steps`` guards
-    as the burn-in) until an accepted sample leaves behind an SPD W; fall
-    back to the diagonal-shift repair when the cap is reached.  Returns
-    (mass, state) since extra iterations may move the chain.
+    ``extra_cap``, capped at ``max_steps`` like the burn-in) until an
+    accepted sample leaves behind an SPD W; else repair it by a diagonal
+    shift.  Returns (mass, state) since extra iterations may move the chain.
     """
     extra = 0
     while not is_spd(bfgs.w) and extra < extra_cap:
         state, info = qnp_burnin_iteration(state, logp_grad, eps, tau, rng,
-                                           bfgs, max_delta_h=max_delta_h,
-                                           max_steps=max_steps)
+                                           bfgs, max_steps=max_steps)
         extra += 1
         if record is not None:
             record(state, info)

@@ -45,13 +45,13 @@ def run_qnp(problem, replications, seed, problem_params=None, **method):
 @pytest.fixture(scope="module")
 def criterion1_run():
     return run_qnp("example1", 100, 101, sigma=0.4, tau=0.7, n_burnin=100,
-                   budget=600, max_leapfrog_steps=30)
+                   budget=600)
 
 
 @pytest.fixture(scope="module")
 def criterion3_run():
     return run_qnp("example6", 50, 103, sigma=0.4, tau=0.7, n_burnin=500,
-                   budget=6000, max_leapfrog_steps=30)
+                   budget=6000)
 
 
 def test_criterion_1_convex_low_probability(criterion1_run):
@@ -69,8 +69,7 @@ def test_criterion_1_convex_low_probability(criterion1_run):
 
 def test_criterion_2_four_branch_system():
     report, elapsed = run_qnp("example4", 100, 102, sigma=0.8, tau=1.0,
-                              n_burnin=200, budget=2000,
-                              max_leapfrog_steps=30)
+                              n_burnin=200, budget=2000)
     ref = 2.20e-3
     ok = (abs(report.mean_pf - ref) <= 0.15 * ref
           and report.empirical_cov <= 0.3 and elapsed < 60.0
@@ -95,8 +94,7 @@ def test_criterion_3_high_dim_linear(criterion3_run):
 
 def test_criterion_4_high_dim_quadratic():
     report, elapsed = run_qnp("example7", 50, 104, sigma=0.4, tau=0.7,
-                              n_burnin=500, budget=8000,
-                              max_leapfrog_steps=30)
+                              n_burnin=500, budget=8000)
     ref = 4.73e-6
     ok = (abs(report.mean_pf - ref) <= 0.30 * ref
           and report.empirical_cov <= 0.6 and report.n_success == 50)
@@ -224,7 +222,7 @@ def test_criterion_7_property_suites():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report, _ = run_astpa(model, AstpaConfig(
-            sigma=0.4, n_burnin=40, budget=300, max_leapfrog_steps=30), seed=5)
+            sigma=0.4, n_burnin=40, budget=300), seed=5)
     results["zero-extra-calls"] = report.model_calls == model.call_count
 
     # annealing endpoints
@@ -242,9 +240,9 @@ def test_criterion_7_property_suites():
 
     # determinism: bit-identical reruns
     r1, _ = run_astpa(make_benchmark("example1"), AstpaConfig(
-        sigma=0.4, n_burnin=40, budget=300, max_leapfrog_steps=30), seed=9)
+        sigma=0.4, n_burnin=40, budget=300), seed=9)
     r2, _ = run_astpa(make_benchmark("example1"), AstpaConfig(
-        sigma=0.4, n_burnin=40, budget=300, max_leapfrog_steps=30), seed=9)
+        sigma=0.4, n_burnin=40, budget=300), seed=9)
     results["determinism"] = (r1.p_hat == r2.p_hat and r1.c_h == r2.c_h)
 
     failed = [k for k, v in results.items() if not v]
@@ -284,8 +282,7 @@ def test_reference_budget_nonlinearity_sweep():
 @pytest.mark.skipif(fast_profile(), reason="reference-budget check (fast profile)")
 def test_reference_budget_quartic_bimodal():
     report, elapsed = run_qnp("example3", 30, 108, sigma=0.5, tau=0.7,
-                              n_burnin=200, budget=4000,
-                              max_leapfrog_steps=30)
+                              n_burnin=200, budget=4000)
     ref = 5.90e-8
     ok = abs(report.mean_pf - ref) <= 0.40 * ref
     check("REFERENCE-BUDGET example3", ok,
@@ -297,8 +294,7 @@ def test_reference_budget_quartic_bimodal():
 def test_reference_budget_beta_seven():
     report, elapsed = run_qnp("example6", 30, 109,
                               problem_params={"beta": 7.0}, sigma=0.4,
-                              tau=0.7, n_burnin=500, budget=8639,
-                              max_leapfrog_steps=30)
+                              tau=0.7, n_burnin=500, budget=8639)
     ref = 1.28e-12
     ok = abs(report.mean_pf - ref) <= 0.40 * ref
     check("REFERENCE-BUDGET example6 beta=7", ok,

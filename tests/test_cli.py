@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from rareprob.cli import main
 
 
@@ -52,6 +54,28 @@ def test_unknown_key_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--config", str(path))
     assert code == 2
     assert "configuration error" in err
+
+
+@pytest.mark.parametrize("method,setting", [
+    ("qnp-hmcmc", "method.sigma=2"), ("sus-uniform", "method.p0=1.5"),
+    ("hmcmc", "method.sigma=abc")])
+def test_invalid_method_value_exit_code(capsys, method, setting):
+    # rejected before any replication runs, not counted as failed replications
+    code, out, err = run_cli(capsys, "run", "--problem", "example1",
+                             "--method", method, "--replications", "2",
+                             "--set", setting)
+    assert code == 2 and out == ""
+    assert "configuration error" in err
+
+
+def test_sweep_lists_out_of_range_method_value_as_error(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--problem", "example1", "--method", "sus-uniform",
+        "--replications", "1", "--seed", "2", "--set", "method.n_s=200",
+        "--param", "method.p0", "--values", "0.1,1.5")
+    assert code == 0
+    assert out.startswith("method.p0=0.1: ")
+    assert err.startswith("method.p0=1.5: ERROR ConfigurationError")
 
 
 def test_missing_config_file(capsys):

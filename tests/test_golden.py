@@ -24,8 +24,6 @@ CASES = {
     "ex2-hmcmc": ("example2", "hmcmc", 103, {}),
     "ex2-qnp": ("example2", "qnp-hmcmc", 104, {}),
     "ex8-qnp": ("example8", "qnp-hmcmc", 106, {}),
-    "ex1-qnp-n-iter": ("example1", "qnp-hmcmc", 106, {"budget": None, "n_iter": 300}),
-    "ex1-qnp-fixed-eps": ("example1", "qnp-hmcmc", 107, {"epsilon": 0.25}),
     "ex1-qnp-no-burnin": ("example1", "qnp-hmcmc", 108, {"n_burnin": 0}),
     "ex4-qnp": ("example4", "qnp-hmcmc", 105, {}),
 }
@@ -47,12 +45,6 @@ GOLDEN = {
     "ex8-qnp": (0.00014688230084625062, 0.0006851101179083038, 7200, 0.801689083515796,
         "d1ad8009e0c935dfdd0057e5c1d61b53ec64c0fa64efd0fde9e736e9158fc3cb",
         "7cfaf9b857885d24122474d7048057312226ce7d0d9d29541c9d7a6a0eba6bd9"),
-    "ex1-qnp-n-iter": (3.807476649715306e-06, 3.916040503447279e-05, 433, 0.4633333333333333,
-        "5950819f2a4be6b7f2a2ce6f2f7a5ba048b5440c7a932f6fa11c20198960cc11",
-        "7368cf6861c72993243fbc94a78c1432478a6405094b735b4b1100a9f71725f0"),
-    "ex1-qnp-fixed-eps": (4.849155004490204e-06, 3.8842941248080906e-05, 601, 1.0,
-        "abecd4fc488e3e50c0f78ca0cec184146c2242ecc9e0332b6b36dcc3ece42a50",
-        "b2c53a473d0735da3df06a510d55ddc01c51302966dfe85c41863a0ab0ae4136"),
     "ex1-qnp-no-burnin": (4.2231527006660275e-06, 3.758403222069484e-05, 600, 0.903448275862069,
         "61a9ce9d5a7aea1e5d30349a3229e11c9958a5bb74f80c1b84512d2894f1f63f",
         "d2d1867ab6d46407e898f30e2b919e8ecbb458d024d1459755bf2d8d01bebbc5"),

@@ -56,7 +56,9 @@ def test_parse_config_rejects_unknown_keys():
     with pytest.raises(ConfigurationError, match="unknown config key"):
         parse_config({"problem": "example1", "method": "hmcmc",
                       "bogus": 1})
-    for key in ("method.sigm", "method.gmm_dim_limit", "method.k_max"):
+    for key in ("method.sigm", "method.gmm_dim_limit", "method.k_max",
+                "method.epsilon", "method.n_iter", "method.target_accept",
+                "method.max_delta_h", "method.max_leapfrog_steps"):
         with pytest.raises(ConfigurationError, match="unknown method key"):
             parse_config({"problem": "example1", "method": "hmcmc", key: 0.4})
     with pytest.raises(ConfigurationError, match="no parameter"):

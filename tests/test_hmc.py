@@ -198,7 +198,7 @@ def test_runaway_momentum_diverges_without_warning():
 # ---------------------------------------------------------------------------
 
 def test_dual_averaging_fixed_point():
-    da = DualAveraging(0.25, target_accept=0.65)
+    da = DualAveraging(0.25)
     for _ in range(200):
         da.update(0.65)
     assert da.frozen_eps == pytest.approx(math.exp(da.mu), rel=1e-9)
@@ -294,8 +294,7 @@ def test_mean_acceptance_band_on_benchmark1():
     adaptive, main = [], []
     for seed in range(10):
         model = make_benchmark("example1")
-        cfg = AstpaConfig(sigma=0.4, tau=0.7, n_burnin=100, budget=1600,
-                          max_leapfrog_steps=30)
+        cfg = AstpaConfig(sigma=0.4, tau=0.7, n_burnin=100, budget=1600)
         report, art = run_astpa(model, cfg, seed=600 + seed, method="hmcmc")
         adaptive.append(art.burnin_accept_rate)
         main.append(report.accept_rate)

@@ -8,14 +8,14 @@ from rareprob import (AstpaConfig, ConfigurationError, EstimationError,
                       fit_gmm, fit_single_gaussian, estimate_pf,
                       make_benchmark, normalizing_constant, run_astpa)
 
+from rareprob import pipeline
 from rareprob.harness import RunConfig, run_replication
 
 from conftest import make_linear_model, phi
 
 
 def small_config(**kw):
-    base = dict(sigma=0.4, tau=0.7, n_burnin=50, budget=400,
-                max_leapfrog_steps=30)
+    base = dict(sigma=0.4, tau=0.7, n_burnin=50, budget=400)
     base.update(kw)
     return AstpaConfig(**base)
 
@@ -64,7 +64,7 @@ def test_budget_overshoot_is_bounded(method):
         report, _ = run_astpa(make_benchmark("example1"), config, seed=seed,
                               method=method)
         assert config.budget <= report.model_calls \
-            <= config.budget + config.max_leapfrog_steps - 1
+            <= config.budget + pipeline.MAX_LEAPFROG_STEPS - 1
 
 
 def test_burnin_excluded_from_estimation():
@@ -88,13 +88,35 @@ def test_too_few_main_samples_for_a_high_dimensional_fit_raise():
     # five main samples cannot support a 100-dim density fit (d + 2 needed)
     model = make_benchmark("example6")
     with pytest.raises(EstimationError, match="5 main samples cannot support"):
-        run_astpa(model, AstpaConfig(sigma=0.4, n_burnin=20, n_iter=5),
+        run_astpa(model, AstpaConfig(sigma=0.4, n_burnin=20, budget=50),
                   seed=0, method="hmcmc")
+
+
+def test_burnin_length_follows_the_budget_when_unset(monkeypatch):
+    # n_burnin unset: about 10% of the budget, counted in trajectories of
+    # tau / eps0 steps, eps0 being what the first step-size search returns
+    found, counted = [], []
+    search = pipeline.find_reasonable_epsilon
+    burnin_step = pipeline.qnp_burnin_iteration
+
+    def find(*args, **kwargs):
+        found.append(search(*args, **kwargs))
+        return found[-1]
+
+    def step(*args, **kwargs):
+        counted.append(1)
+        return burnin_step(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "find_reasonable_epsilon", find)
+    monkeypatch.setattr(pipeline, "qnp_burnin_iteration", step)
+    run_astpa(make_benchmark("example1"),
+              AstpaConfig(sigma=0.4, tau=0.7, budget=600), seed=3)
+    assert len(counted) == max(2, round(0.1 * 600 / max(1, round(0.7 / found[0]))))
 
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        AstpaConfig(sigma=0.4)           # neither budget nor n_iter
+        AstpaConfig(sigma=0.4)           # no budget
     with pytest.raises(ConfigurationError):
         AstpaConfig(sigma=1.5, budget=100)
     with pytest.raises(ConfigurationError):
@@ -112,13 +134,6 @@ def test_subnormal_sigma_is_a_configuration_error(sigma):
                   AstpaConfig(sigma=sigma, n_burnin=20, budget=200), 1)
 
 
-def test_n_iter_mode():
-    model = make_benchmark("example1")
-    report, art = run_astpa(model, AstpaConfig(sigma=0.4, n_burnin=20,
-                                               n_iter=30), seed=2)
-    assert art.main.n == 30
-
-
 def test_full_pipeline_consistency_oracle():
     # 1-D linear limit state: the estimator mean must agree with the exact
     # failure probability within 3 empirical standard errors
@@ -128,8 +143,7 @@ def test_full_pipeline_consistency_oracle():
         warnings.simplefilter("ignore")
         for rep in range(200):
             model = make_linear_model(beta=3.0)
-            cfg = AstpaConfig(sigma=0.4, tau=0.7, n_burnin=60, budget=450,
-                              max_leapfrog_steps=30)
+            cfg = AstpaConfig(sigma=0.4, tau=0.7, n_burnin=60, budget=450)
             report, _ = run_astpa(model, cfg, seed=4000 + rep,
                                   method="qnp-hmcmc")
             pf.append(report.p_hat)
@@ -142,8 +156,7 @@ def test_q_route_independence_on_benchmark1():
     # two valid importance densities on the same samples give estimates
     # closer than the analytic uncertainty
     model = make_benchmark("example1")
-    cfg = AstpaConfig(sigma=0.4, tau=0.7, n_burnin=200, budget=5600,
-                      max_leapfrog_steps=30)
+    cfg = AstpaConfig(sigma=0.4, tau=0.7, n_burnin=200, budget=5600)
     report, art = run_astpa(model, cfg, seed=11)
     assert art.main.n >= 4000
     from rareprob.iis import add_defensive_component
@@ -161,8 +174,7 @@ def test_q_route_independence_on_benchmark1():
 
 def test_subspace_density_used_in_high_dimensions():
     model = make_benchmark("example6")
-    cfg = AstpaConfig(sigma=0.4, tau=0.7, n_burnin=150, budget=2500,
-                      max_leapfrog_steps=30)
+    cfg = AstpaConfig(sigma=0.4, tau=0.7, n_burnin=150, budget=2500)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report, art = run_astpa(model, cfg, seed=21)

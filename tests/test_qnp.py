@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rareprob import hmc
 from rareprob import (BfgsState, MassState, NumericalError, bfgs_update,
                       ensure_spd, finalize_mass, hmc_iteration,
                       make_benchmark, qnp_burnin_iteration, qnp_main_iteration,
@@ -254,7 +255,7 @@ def test_finalize_runs_extra_iterations_until_spd():
     assert mass.extra_iterations > 0 or mass.delta > 0
 
 
-def test_finalize_extra_iterations_keep_the_cost_guards():
+def test_finalize_extra_iterations_keep_the_cost_guards(monkeypatch):
     model = make_benchmark("example1")
     target = SmoothedTarget(model, sigma=0.4, p=0.1)
     state = make_state(target, np.zeros(2))
@@ -263,10 +264,11 @@ def test_finalize_extra_iterations_keep_the_cost_guards():
     infos = []
     # tau / eps = 5 steps without the cap; a negative threshold marks every
     # trajectory divergent, so W is rolled back and all 5 extras run
+    monkeypatch.setattr(hmc, "MAX_DELTA_H", -1.0)
     mass, _ = finalize_mass(bfgs, state, target.logp_grad, 0.3, 1.5,
                             np.random.default_rng(8), extra_cap=5,
                             record=lambda st, info: infos.append(info),
-                            max_delta_h=-1.0, max_steps=2)
+                            max_steps=2)
     assert mass.extra_iterations == len(infos) == 5
     assert all(info["n_steps"] <= 2 for info in infos)
     assert all(info["diverged"] for info in infos)
@@ -392,8 +394,7 @@ def test_preconditioning_efficiency_on_high_dim_quadratic():
 
     def esjd_per_call(method):
         model = make_benchmark("example7")
-        cfg = AstpaConfig(sigma=0.4, tau=0.7, n_burnin=500, budget=8000,
-                          max_leapfrog_steps=30)
+        cfg = AstpaConfig(sigma=0.4, tau=0.7, n_burnin=500, budget=8000)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report, art = run_astpa(model, cfg, seed=1, method=method)

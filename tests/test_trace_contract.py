@@ -34,8 +34,7 @@ def test_every_traced_name_exists(spans):
 
 def test_traced_run_records_every_phase(spans):
     n_burnin = 50
-    config = AstpaConfig(sigma=0.4, tau=0.7, n_burnin=n_burnin, budget=400,
-                         max_leapfrog_steps=30)
+    config = AstpaConfig(sigma=0.4, tau=0.7, n_burnin=n_burnin, budget=400)
     recorder = spans.Recorder()
     with spans.installed(recorder, rareprob):
         _, art = run_astpa(make_benchmark("example1"), config, seed=3,
