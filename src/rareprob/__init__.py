@@ -15,8 +15,8 @@ from .benchmarks import (analytic_reference, benchmark_ids, make_benchmark,
 from .errors import (ConfigurationError, DimensionError, EstimationError,
                      InvalidInputError, NumericalError, RareprobError,
                      SusConvergenceError, TuningError)
-from .harness import (AggregateReport, RunConfig, load_config, parse_config,
-                      run_experiment, sweep)
+from .harness import (AggregateReport, RunConfig, parse_config, run_experiment,
+                      sweep)
 from .hmc import (ChainState, DualAveraging, find_reasonable_epsilon,
                   hmc_iteration, jitter_tau, leapfrog, tune_trajectory)
 from .iis import (EstimateReport, GmmModel, SampleSet, choose_thinning,

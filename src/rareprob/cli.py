@@ -33,22 +33,17 @@ def _flat_from_args(args):
     if args.config:
         with open(args.config) as fh:
             flat.update(json.load(fh))
-    if getattr(args, "problem", None):
-        flat["problem"] = args.problem
-    if getattr(args, "method", None):
-        flat["method"] = args.method
-    if getattr(args, "replications", None) is not None:
-        flat["replications"] = args.replications
-    if args.seed is not None:
-        flat["master_seed"] = args.seed
-    for item in getattr(args, "set", None) or []:
+    given = {"problem": args.problem, "method": args.method,
+             "replications": args.replications, "master_seed": args.seed}
+    flat.update({k: v for k, v in given.items() if v is not None})
+    for item in args.set or []:
         if "=" not in item:
             raise ConfigurationError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         flat[key.strip()] = _parse_literal(raw.strip())
-    if getattr(args, "csv", None):
+    if args.csv:
         flat["output.csv"] = args.csv
-    if getattr(args, "json_out", None):
+    if args.json_out:
         flat["output.json"] = args.json_out
     return flat
 
@@ -99,7 +94,7 @@ def cmd_tune(args):
     model = make_benchmark(spec)
     sigma = args.sigma if args.sigma is not None \
         else spec.astpa_defaults.get("sigma", AstpaConfig.sigma)
-    target = SmoothedTarget(model, sigma=sigma)
+    target = SmoothedTarget(model, sigma=sigma, p=AstpaConfig.p)
     candidates = [float(v) for v in args.candidates.split(",")]
     tau, eps = tune_trajectory(target, candidates, args.pilot_iters,
                                args.seed or 0)
@@ -125,25 +120,24 @@ def build_parser():
         description="Rare-event failure probability estimation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one replicated experiment")
-    run_p.add_argument("--config", help="flat JSON config file")
-    run_p.add_argument("--problem")
-    run_p.add_argument("--method")
-    run_p.add_argument("--replications", type=int)
-    run_p.add_argument("--seed", type=int, help="overrides master_seed")
-    run_p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override any config key (e.g. method.sigma=0.4)")
+    # the experiment options that run and sweep share
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--config", help="flat JSON config file")
+    experiment.add_argument("--problem")
+    experiment.add_argument("--method")
+    experiment.add_argument("--replications", type=int)
+    experiment.add_argument("--seed", type=int, help="overrides master_seed")
+    experiment.add_argument("--set", action="append", metavar="KEY=VALUE",
+                            help="override any config key (e.g. method.sigma=0.4)")
+
+    run_p = sub.add_parser("run", parents=[experiment],
+                           help="run one replicated experiment")
     run_p.add_argument("--csv", help="per-replication CSV path")
     run_p.add_argument("--json", dest="json_out", help="aggregate JSON path")
     run_p.set_defaults(func=cmd_run)
 
-    sweep_p = sub.add_parser("sweep", help="grid over one parameter")
-    sweep_p.add_argument("--config", help="flat JSON config file")
-    sweep_p.add_argument("--problem")
-    sweep_p.add_argument("--method")
-    sweep_p.add_argument("--replications", type=int)
-    sweep_p.add_argument("--seed", type=int)
-    sweep_p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    sweep_p = sub.add_parser("sweep", parents=[experiment],
+                             help="grid over one parameter")
     sweep_p.add_argument("--param", required=True,
                          help="dotted key, e.g. problem.beta")
     sweep_p.add_argument("--values", required=True,

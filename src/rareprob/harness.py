@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .benchmarks import make_benchmark, resolve_spec
 from .errors import ConfigurationError, RareprobError
-from .model import crude_monte_carlo
+from .model import McConfig, check_resolvable, crude_monte_carlo
 from .pipeline import METHODS as ASTPA_METHODS, AstpaConfig, run_astpa
 from .sus import SusConfig, subset_simulation
 
@@ -30,7 +30,7 @@ METHODS = ASTPA_METHODS + ("sus-uniform", "sus-normal", "crude-mc")
 _TOP_KEYS = {"problem", "method", "replications", "master_seed", "n_jobs"}
 _ASTPA_KEYS = {f.name for f in fields(AstpaConfig)}
 _SUS_KEYS = {"n_s", "p0", "max_levels"}
-_MC_KEYS = {"n", "force"}
+_MC_KEYS = {f.name for f in fields(McConfig)}
 _OUTPUT_KEYS = {"csv", "json", "plot"}
 
 
@@ -83,7 +83,7 @@ def _method_keys(method):
 
 
 def _method_config(method, spec, params):
-    """The method's AstpaConfig or SusConfig: registry defaults, overrides on top."""
+    """The method's Astpa, Sus or Mc config: registry defaults, overrides on top."""
     try:
         if method in ASTPA_METHODS:
             return AstpaConfig(**{**spec.astpa_defaults, **params})
@@ -92,7 +92,9 @@ def _method_config(method, spec, params):
                              **{**spec.sus_defaults, **params})
     except TypeError as exc:      # a value of the wrong type, e.g. a string
         raise ConfigurationError(f"bad {method} setting: {exc}") from exc
-    return None
+    mc = McConfig(**params)
+    check_resolvable(spec.p_f_ref, mc)
+    return mc
 
 
 def parse_config(flat):
@@ -121,11 +123,6 @@ def parse_config(flat):
         replications=int(top.get("replications", 100)),
         master_seed=int(top.get("master_seed", 0)),
         outputs=outputs, n_jobs=int(top.get("n_jobs", 1)))
-
-
-def load_config(path):
-    with open(path) as fh:
-        return parse_config(json.load(fh))
 
 
 def replication_seed(master_seed, rep):
@@ -218,11 +215,10 @@ def run_replication(config, rep):
                "model_calls": result.model_calls,
                "cov_analytic": None, "accept_rate": None}
     else:  # crude-mc
-        n = int(config.method_params.get("n", 10 ** 6))
-        force = bool(config.method_params.get("force", False))
-        est = crude_monte_carlo(model, n, seed, force=force)
+        mc = config.method_config
+        est = crude_monte_carlo(model, mc.n, seed, force=mc.force)
         row = {"rep": rep, "seed": seed, "pf_hat": est.p_hat,
-               "model_calls": n, "cov_analytic": est.cov,
+               "model_calls": mc.n, "cov_analytic": est.cov,
                "accept_rate": None}
     row["wall_ms"] = (time.perf_counter() - t0) * 1e3
     return row

@@ -33,6 +33,7 @@ from .errors import TuningError
 LOG_HALF = math.log(0.5)
 LOG2 = math.log(2.0)
 MAX_DELTA_H = 1000.0        # an energy error beyond this counts as divergent
+MAX_LEAPFROG_STEPS = 30     # cost guard on every trajectory, in every phase
 MAX_DOUBLINGS = 60          # step-size search trials after the first
 JITTER_LO, JITTER_HI = 0.9, 1.1   # trajectory-length jitter, as fractions of tau
 
@@ -47,24 +48,20 @@ class ChainState:
     aux: tuple | None = None      # (g, grad_g, log_ell) for smoothed targets
 
 
-def n_leapfrog_steps(tau, eps, max_steps=None):
-    n = max(1, int(round(tau / eps)))
-    return n if max_steps is None else min(n, int(max_steps))
-
-
-def trajectory_discretization(tau_m, eps, max_steps=None):
+def trajectory_discretization(tau_m, eps):
     """Step count and effective step size for one trajectory.
 
     The step count follows max(1, round(tau/eps)) with the tuned step size
     taken literally, so a step size settling above the trajectory length
-    still yields the single full-size jump that mixing wants.  The step is
-    only clamped at twice the trajectory length: past that point the
-    rounding floor would otherwise decouple the move size from tau entirely
-    (a near-zero trajectory length must produce a near-zero move).
+    still yields the single full-size jump that mixing wants, and it never
+    exceeds ``MAX_LEAPFROG_STEPS``.  The step is only clamped at twice the
+    trajectory length: past that point the rounding floor would otherwise
+    decouple the move size from tau entirely (a near-zero trajectory length
+    must produce a near-zero move).
     """
     eps_eff = min(eps, 2.0 * tau_m)
-    n = n_leapfrog_steps(tau_m, eps_eff, max_steps)
-    return n, eps_eff
+    n = max(1, int(round(tau_m / eps_eff)))
+    return min(n, MAX_LEAPFROG_STEPS), eps_eff
 
 
 def jitter_tau(tau, rng):
@@ -159,10 +156,9 @@ def hmc_transition(state, logp_grad, eps, n_steps, rng, *, mass=None,
     return new_state, info
 
 
-def hmc_iteration(state, target_logp_grad, eps, tau, rng, mass=None, max_steps=None):
+def hmc_iteration(state, target_logp_grad, eps, tau, rng, mass=None):
     """Full iteration: jittered trajectory length, then one transition."""
-    n_steps, eps_eff = trajectory_discretization(jitter_tau(tau, rng), eps,
-                                                 max_steps)
+    n_steps, eps_eff = trajectory_discretization(jitter_tau(tau, rng), eps)
     return hmc_transition(state, target_logp_grad, eps_eff, n_steps, rng, mass=mass)
 
 
@@ -262,10 +258,10 @@ def tune_trajectory(target, candidate_taus, pilot_iters, seed):
     """Pick the trajectory length maximizing the normalized expected square
     jumping distance, mean ||theta_{m+1} - theta_m||^2 / sqrt(tau).
 
-    Runs a fresh dual-averaging pilot chain from the origin per candidate
-    (``target`` needs ``d`` and ``logp_grad(theta)``); ties break toward the
-    smaller (cheaper) candidate.  Returns (tau, eps), eps being the frozen
-    step size of the winning candidate's pilot.
+    Runs a fresh dual-averaging pilot chain from the origin per candidate,
+    under the run's ``MAX_LEAPFROG_STEPS`` cap (``target`` needs ``d`` and
+    ``logp_grad``); ties break toward the smaller (cheaper) candidate.
+    Returns (tau, eps), eps being the frozen step size of the winning pilot.
     """
     candidates = sorted(set(float(t) for t in candidate_taus))
     if not candidates:

@@ -27,6 +27,9 @@ import scipy.linalg
 from .errors import InvalidInputError, NumericalError
 
 GMM_DIM_LIMIT = 10     # Q's basis can be the identity up to here, deformed above
+SUBSPACE_MAX_DIMS = 8  # cap on the deformed subspace, the mean direction included
+DEFENSIVE_WEIGHT = 0.02     # mixture weight of the defensive component
+DEFENSIVE_INFLATE = 4.0     # its covariance over the sample covariance
 THINNING_LOW, THINNING_HIGH = 5, 50
 THINNING_DIM_SPLIT = 20
 
@@ -80,7 +83,6 @@ class SampleSet:
     g: np.ndarray          # (n,)
     log_ell: np.ndarray    # (n,) log likelihood value
     log_h: np.ndarray      # (n,) log non-normalized target density
-    phase: str = "main"    # "burn-in" | "main"
 
     def __post_init__(self):
         self.theta = np.atleast_2d(np.asarray(self.theta, dtype=float))
@@ -199,6 +201,13 @@ def _regularize(cov, rel=1e-6, min_trace=0.0):
     return cov + np.multiply.outer(jitter, np.eye(d))
 
 
+def _moments(theta):
+    """Sample mean and (n-1)-normalised sample covariance of the rows."""
+    mean = theta.mean(axis=0)
+    diff = theta - mean
+    return mean, diff.T @ diff / max(theta.shape[0] - 1, 1)
+
+
 def fit_single_gaussian(samples):
     """Moment-matched single Gaussian, the fallback when too few samples
     support a mixture."""
@@ -206,10 +215,8 @@ def fit_single_gaussian(samples):
     n, d = theta.shape
     if n < d + 2:
         raise InvalidInputError(f"need at least d+2={d + 2} samples, got {n}")
-    mean = theta.mean(axis=0)
-    diff = theta - mean
-    cov = _regularize(diff.T @ diff / (n - 1))
-    return GmmModel(np.array([1.0]), mean[None, :], cov[None, :, :])
+    mean, cov = _moments(theta)
+    return GmmModel(np.array([1.0]), mean[None, :], _regularize(cov)[None, :, :])
 
 
 class SubspaceDensity:
@@ -247,23 +254,21 @@ class SubspaceDensity:
             + self._log_norm_perp - 0.5 * np.maximum(sq_perp, 0.0)
 
 
-def deformed_subspace(theta, max_dims=8):
+def deformed_subspace(theta):
     """Orthonormal basis of the directions where the samples deviate from
     the standard normal prior: covariance eigenvalues outside the sampling
     noise band, plus the mean direction."""
     n, d = theta.shape
-    mean = theta.mean(axis=0)
-    diff = theta - mean
-    cov = diff.T @ diff / max(n - 1, 1)
+    mean, cov = _moments(theta)
     lam, vec = np.linalg.eigh(0.5 * (cov + cov.T))
     ratio = math.sqrt(d / n)
     lo = 0.9 * (1.0 - ratio) ** 2
     hi = 1.1 * (1.0 + ratio) ** 2
     keep = (lam <= lo) | (lam >= hi)
     order = np.argsort(np.abs(np.log(np.maximum(lam, 1e-12))))[::-1]
-    cols = [vec[:, i] for i in order if keep[i]][:max_dims - 1]
-    if np.linalg.norm(mean) > 1e-9:
-        cols.append(mean / np.linalg.norm(mean))
+    cols = [vec[:, i] for i in order if keep[i]][:SUBSPACE_MAX_DIMS - 1]
+    if (norm := np.linalg.norm(mean)) > 1e-9:
+        cols.append(mean / norm)
     if not cols:
         cols.append(np.eye(d)[:, 0])
     return scipy.linalg.orth(np.stack(cols, axis=1))
@@ -537,19 +542,18 @@ def cov_analytic(samples, c_h, p_hat, lag):
     return variance, math.sqrt(variance) / p_hat
 
 
-def add_defensive_component(q, samples, weight=0.02, inflate=4.0):
+def add_defensive_component(q, samples):
     """Blend a wide moment-matched Gaussian into Q with small weight.
 
     A fitted mixture can assign near-zero density to thinly visited stretches
     of the chain, letting single h~/Q ratios dominate the normalizing
     constant.  The wide component bounds those ratios at the cost of an
-    O(weight) perturbation of Q where the fit is good.
+    O(DEFENSIVE_WEIGHT) perturbation of Q where the fit is good.
     """
     theta = samples.theta if isinstance(samples, SampleSet) else np.atleast_2d(samples)
-    mean = theta.mean(axis=0)
-    diff = theta - mean
-    cov = _regularize(inflate * (diff.T @ diff / max(theta.shape[0] - 1, 1)))
-    weights = np.concatenate([(1.0 - weight) * q.weights, [weight]])
+    mean, cov = _moments(theta)
+    cov = _regularize(DEFENSIVE_INFLATE * cov)
+    weights = np.append((1.0 - DEFENSIVE_WEIGHT) * q.weights, DEFENSIVE_WEIGHT)
     means = np.vstack([q.means, mean[None, :]])
     covs = np.concatenate([q.covs, cov[None, :, :]], axis=0)
     return GmmModel(weights, means, covs)

@@ -17,6 +17,9 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, InvalidInputError
 
+MC_CHUNK = 262_144      # standard normal rows drawn per model batch
+FD_STEP = 1e-5          # central finite-difference step
+
 
 class _CallCounter:
     """Monotone evaluation counter, safe to share between chains."""
@@ -131,31 +134,42 @@ class McEstimate:
     cov: float
     seed: int
 
+
+@dataclass(frozen=True)
+class McConfig:
+    """Crude Monte Carlo settings (``force``: see ``check_resolvable``)."""
+
+    n: int = 10 ** 6
+    force: bool = False
+
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise InvalidInputError("n_samples must be >= 1")
+        if type(self.n) is not int or self.n < 1:    # a bool is not a size
+            raise ConfigurationError(f"n must be an integer >= 1, got {self.n!r}")
+        if not isinstance(self.force, bool):
+            raise ConfigurationError(f"force must be a bool, got {self.force!r}")
 
 
-def crude_monte_carlo(model, n, seed, force=False, chunk=262_144):
+def check_resolvable(p_ref, config):
+    """Refuse, unless forced, a sample size that cannot resolve the reference
+    probability (p_ref * n < 10): such a run returns noise."""
+    n = config.n
+    if not config.force and p_ref is not None and p_ref * n < 10:
+        raise ConfigurationError(
+            f"n={n} cannot resolve p~{p_ref:.3g} (need p*n >= 10); pass force=True")
+
+
+def crude_monte_carlo(model, n, seed, force=False):
     """Brute-force reference estimate: fraction of failing standard normal draws.
 
-    Refuses sample sizes that cannot resolve the benchmark's reference
-    probability (p_ref * n < 10) unless ``force`` is set, because such runs
-    return noise.  Deterministic given the seed.
+    ``n`` and ``force`` are checked as an ``McConfig`` and by
+    ``check_resolvable``.  Deterministic given the seed.
     """
-    n = int(n)
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    p_ref = getattr(model, "p_f_ref", None)
-    if not force and p_ref is not None and p_ref * n < 10:
-        raise ConfigurationError(
-            f"n={n} cannot resolve p~{p_ref:.3g} (need p*n >= 10); pass force=True"
-        )
+    check_resolvable(getattr(model, "p_f_ref", None), McConfig(n, force))
     rng = np.random.default_rng(seed)
     n_fail = 0
     done = 0
     while done < n:
-        m = min(chunk, n - done)
+        m = min(MC_CHUNK, n - done)
         g = model.evaluate_batch(rng.standard_normal((m, model.dim)))
         n_fail += int(np.count_nonzero(g <= 0.0))
         done += m
@@ -164,7 +178,7 @@ def crude_monte_carlo(model, n, seed, force=False, chunk=262_144):
     return McEstimate(p_hat=p_hat, n_samples=n, cov=cov, seed=int(seed))
 
 
-def finite_difference_gradient(model, theta, step=1e-5):
+def finite_difference_gradient(model, theta):
     """Central finite differences of g, for gradient verification only.
 
     Does not touch the model-call counter: it goes through the raw evaluator,
@@ -175,7 +189,7 @@ def finite_difference_gradient(model, theta, step=1e-5):
     for i in range(theta.size):
         hi = theta.copy()
         lo = theta.copy()
-        hi[i] += step
-        lo[i] -= step
-        grad[i] = (model._func(hi)[0] - model._func(lo)[0]) / (2.0 * step)
+        hi[i] += FD_STEP
+        lo[i] -= FD_STEP
+        grad[i] = (model._func(hi)[0] - model._func(lo)[0]) / (2.0 * FD_STEP)
     return grad

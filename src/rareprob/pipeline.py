@@ -17,14 +17,13 @@ import numpy as np
 
 from . import iis
 from .errors import ConfigurationError, EstimationError, InvalidInputError
-from .hmc import (ChainState, DualAveraging, find_reasonable_epsilon,
-                  hmc_iteration)
+from .hmc import (MAX_LEAPFROG_STEPS, ChainState, DualAveraging,
+                  find_reasonable_epsilon, hmc_iteration)
 from .qnp import BfgsState, MassState, finalize_mass, qnp_burnin_iteration, \
     qnp_main_iteration
 from .target import SmoothedTarget
 
 METHODS = ("hmcmc", "qnp-hmcmc")
-MAX_LEAPFROG_STEPS = 30     # cost guard while adaptation is in flux
 
 
 @dataclass
@@ -102,8 +101,8 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
     da = DualAveraging(eps0)
     burn, main = [], []     # (theta, g, info) per recorded iteration
 
-    def run_phase(state, step, arg, eps, da, record, n=None, annealed=False):
-        """``n`` iterations of ``step`` (until the budget is spent when None).
+    def run_phase(state, kernel, arg, eps, da, record, n=None, annealed=False):
+        """``n`` iterations of ``kernel`` (until the budget is spent when None).
 
         ``da`` adapts the step size when given; an annealed phase re-weights
         the chain to the schedule of every 1-based iteration first.
@@ -115,9 +114,8 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
             params = target.params_at(m) if annealed else None
             if annealed:
                 state = _reweight(target, state, params)
-            state, info = step(state, lambda th: target.logp_grad(th, params),
-                               eps, config.tau, rng, arg,
-                               max_steps=MAX_LEAPFROG_STEPS)
+            state, info = kernel(state, lambda th: target.logp_grad(th, params),
+                                 eps, config.tau, rng, arg)
             if da is not None:
                 eps = da.update(info["alpha"])
             record.append((state.theta, state.aux[0], info))
@@ -139,8 +137,7 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
     if bfgs is not None:
         mass, state = finalize_mass(
             bfgs, state, target.logp_grad, eps_main, config.tau, rng,
-            record=lambda st, info: burn.append((st.theta, st.aux[0], info)),
-            max_steps=MAX_LEAPFROG_STEPS)
+            record=lambda st, info: burn.append((st.theta, st.aux[0], info)))
         # The preconditioned kinetics rescale the dynamics, so the burn-in
         # step size does not carry over.  Re-anchor with the same search
         # heuristic under the new mass, then settle it with a short adaptive
@@ -162,8 +159,8 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
     n_diverged = sum(info["diverged"] for _, _, info in main)
     burn_accepts = [info["accepted"] for _, _, info in burn]
 
-    burnin_set = _build_sample_set(target, burn, "burn-in")
-    main_set = _build_sample_set(target, main, "main")
+    burnin_set = _build_sample_set(target, burn)
+    main_set = _build_sample_set(target, main)
 
     # ---- post-processing: no model calls from here on ----------------------
     calls_before = model.call_count
@@ -207,7 +204,7 @@ def _reweight(target, state, params=None):
     return replace(state, logp=logp, grad=grad, aux=(g, grad_g, log_ell))
 
 
-def _build_sample_set(target, samples, phase):
+def _build_sample_set(target, samples):
     if not samples:
         return None
     theta = np.asarray([s[0] for s in samples], dtype=float)
@@ -215,8 +212,7 @@ def _build_sample_set(target, samples, phase):
     log_ell = target.log_likelihood(g)
     log_h = log_ell - 0.5 * target.d * math.log(2.0 * math.pi) \
         - 0.5 * (theta ** 2).sum(axis=1)
-    return iis.SampleSet(theta=theta, g=g, log_ell=log_ell, log_h=log_h,
-                         phase=phase)
+    return iis.SampleSet(theta=theta, g=g, log_ell=log_ell, log_h=log_h)
 
 
 def _seed_as_int(seed):

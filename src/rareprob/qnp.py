@@ -20,8 +20,15 @@ import scipy.linalg
 from .errors import NumericalError
 from .hmc import hmc_transition, jitter_tau, trajectory_discretization
 
+BFGS_GATE = 1e-12        # |y.s| at or below this share of |y||s| is degenerate
+BFGS_NORM_CAP = 1e3      # an update whose norm exceeds this is skipped
+SPD_EIGEN_FLOOR = 1e-10  # a smallest eigenvalue at or below this needs repair
+SPD_MARGIN, SPD_BUMP = 1.01, 1e-8   # repair shift: margin * |lambda_min| + bump
+SPD_MAX_ATTEMPTS = 60    # doublings of the shift before giving up
+SPD_EXTRA_CAP = 50       # extra burn-in iterations seeking an SPD W
 
-def bfgs_update(w, s, y, gate=1e-12, norm_cap=1e3):
+
+def bfgs_update(w, s, y):
     """Rank-two inverse-Hessian update from the displacement pair (s, y).
 
     Returns the symmetrized update, or None when the pair is unusable: |y.s|
@@ -33,13 +40,13 @@ def bfgs_update(w, s, y, gate=1e-12, norm_cap=1e3):
     """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    ys, degenerate = _curvature(s, y, gate)
+    ys, degenerate = _curvature(s, y)
     if degenerate:
         return None
     rho = 1.0 / ys
     v = _eye(s.size) - rho * (s[:, None] * y)
     w_new = v @ w @ v.T + rho * (s[:, None] * s)
-    if norm_cap is not None and _norm(w_new) > norm_cap:
+    if _norm(w_new) > BFGS_NORM_CAP:
         return None
     return 0.5 * (w_new + w_new.T)
 
@@ -55,10 +62,10 @@ def _norm(x):
 # a pair from a divergent step can overflow here; the infinite norms then
 # fail the gate and the pair is skipped
 @np.errstate(over="ignore")
-def _curvature(s, y, gate):
+def _curvature(s, y):
     """(y.s, whether |y.s| falls below the degeneracy gate)."""
     ys = float(y.dot(s))
-    return ys, abs(ys) <= gate * _norm(y) * _norm(s)
+    return ys, abs(ys) <= BFGS_GATE * _norm(y) * _norm(s)
 
 
 @functools.lru_cache(maxsize=16)
@@ -102,7 +109,7 @@ def is_spd(w):
         return False
 
 
-def ensure_spd(w, eigen_floor=1e-10, margin=1.01, bump=1e-8, max_attempts=60):
+def ensure_spd(w):
     """Shift a symmetric matrix onto the SPD cone by adding delta * I.
 
     delta slightly exceeds |lambda_min| when the smallest eigenvalue is at or
@@ -114,10 +121,10 @@ def ensure_spd(w, eigen_floor=1e-10, margin=1.01, bump=1e-8, max_attempts=60):
         lam_min = float(scipy.linalg.eigvalsh(w, subset_by_index=(0, 0))[0])
     except Exception:
         lam_min = -1.0  # eigen-solver failure: start the escalation path
-    if lam_min > eigen_floor and is_spd(w):
+    if lam_min > SPD_EIGEN_FLOOR and is_spd(w):
         return w, 0.0
-    delta = margin * abs(min(lam_min, 0.0)) + bump
-    for _ in range(max_attempts):
+    delta = SPD_MARGIN * abs(min(lam_min, 0.0)) + SPD_BUMP
+    for _ in range(SPD_MAX_ATTEMPTS):
         w_pd = w + delta * np.eye(w.shape[0])
         if is_spd(w_pd):
             return w_pd, delta
@@ -151,11 +158,6 @@ class MassState:
         return cls(w=w, m=m, chol_m=chol_m, delta=delta,
                    extra_iterations=extra_iterations)
 
-    @classmethod
-    def identity(cls, dim):
-        eye = np.eye(dim)
-        return cls(w=eye, m=eye.copy(), chol_m=eye.copy())
-
     def sample_momentum(self, rng):
         return self.chol_m.dot(rng.standard_normal(self.m.shape[0]))
 
@@ -167,12 +169,11 @@ class MassState:
         return self.w.dot(z)
 
 
-def qnp_burnin_iteration(state, logp_grad, eps, tau, rng, bfgs, max_steps=None):
+def qnp_burnin_iteration(state, logp_grad, eps, tau, rng, bfgs):
     """Adaptive-phase iteration: identity-mass momentum, dynamics driven by
     the W snapshot, curvature pairs harvested per leapfrog step, rollback of
     W on rejection."""
-    n_steps, eps_eff = trajectory_discretization(jitter_tau(tau, rng), eps,
-                                                 max_steps)
+    n_steps, eps_eff = trajectory_discretization(jitter_tau(tau, rng), eps)
     snap = bfgs.snapshot()
     # curvature pairs are taken on the potential energy -log p, so that W
     # approximates the local covariance (SPD wherever s'y > 0)
@@ -184,30 +185,27 @@ def qnp_burnin_iteration(state, logp_grad, eps, tau, rng, bfgs, max_steps=None):
     return new_state, info
 
 
-def qnp_main_iteration(state, logp_grad, eps, tau, rng, mass, max_steps=None):
+def qnp_main_iteration(state, logp_grad, eps, tau, rng, mass):
     """Non-adaptive iteration with momentum ~ N(0, M), M = W^-1."""
-    n_steps, eps_eff = trajectory_discretization(jitter_tau(tau, rng), eps,
-                                                 max_steps)
+    n_steps, eps_eff = trajectory_discretization(jitter_tau(tau, rng), eps)
     return hmc_transition(state, logp_grad, eps_eff, n_steps, rng, mass=mass)
 
 
-def finalize_mass(bfgs, state, logp_grad, eps, tau, rng, extra_cap=50,
-                  record=None, max_steps=None):
+def finalize_mass(bfgs, state, logp_grad, eps, tau, rng, record=None):
     """Freeze the burn-in W into a mass state.
 
     If W is not positive definite, keep running burn-in iterations (up to
-    ``extra_cap``, capped at ``max_steps`` like the burn-in) until an
-    accepted sample leaves behind an SPD W; else repair it by a diagonal
-    shift.  Returns (mass, state) since extra iterations may move the chain.
+    ``SPD_EXTRA_CAP``) until an accepted sample leaves behind an SPD W; else
+    repair it by a diagonal shift.  Returns (mass, state) since extra
+    iterations may move the chain.
     """
     extra = 0
-    while not is_spd(bfgs.w) and extra < extra_cap:
-        state, info = qnp_burnin_iteration(state, logp_grad, eps, tau, rng,
-                                           bfgs, max_steps=max_steps)
+    while not (spd := is_spd(bfgs.w)) and extra < SPD_EXTRA_CAP:
+        state, info = qnp_burnin_iteration(state, logp_grad, eps, tau, rng, bfgs)
         extra += 1
         if record is not None:
             record(state, info)
-    if is_spd(bfgs.w):
+    if spd:
         w_pd, delta = bfgs.w, 0.0
     else:
         w_pd, delta = ensure_spd(bfgs.w)

@@ -175,7 +175,7 @@ class SmoothedTarget:
     construction evaluates the origin once (``origin_eval``, which sets g_c).
     """
 
-    def __init__(self, model, sigma, p=0.1):
+    def __init__(self, model, sigma, p):
         self.model = model
         self.d = model.dim
         self.sigma = float(sigma)

@@ -58,7 +58,8 @@ def test_unknown_key_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("method,setting", [
     ("qnp-hmcmc", "method.sigma=2"), ("sus-uniform", "method.p0=1.5"),
-    ("hmcmc", "method.sigma=abc")])
+    ("hmcmc", "method.sigma=abc"), ("crude-mc", "method.n=abc"),
+    ("crude-mc", "method.n=0"), ("crude-mc", "method.n=1000")])
 def test_invalid_method_value_exit_code(capsys, method, setting):
     # rejected before any replication runs, not counted as failed replications
     code, out, err = run_cli(capsys, "run", "--problem", "example1",

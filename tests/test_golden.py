@@ -5,16 +5,20 @@ the listed overrides) and compares p_hat, c_h, model calls, acceptance and
 a SHA-256 of the burn-in and main-phase sample arrays with exact equality.
 Any change to the draw order, the integrator arithmetic or the phase
 sequence shows up here.  One Subset Simulation run pins the batched
-evaluator path the same way.  The d=100 case relies on conftest pinning the
-BLAS threads to one.
+evaluator path the same way, and each workload of the bench in
+``perfbench/workloads.json`` pins the replication its warm-up runs.  The
+d=100 cases rely on conftest pinning the BLAS threads to one.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from rareprob import AstpaConfig, make_benchmark, run_astpa
 from rareprob.benchmarks import resolve_spec
+from rareprob.harness import ASTPA_METHODS, RunConfig, run_replication
 from rareprob.sus import SusConfig, subset_simulation
 
 # key: (problem, method, seed, config overrides)
@@ -82,3 +86,30 @@ def test_golden_subset_simulation_is_bit_identical():
     result = subset_simulation(make_benchmark(spec),
                                SusConfig(proposal="uniform", seed=109, **spec.sus_defaults))
     assert (result.p_hat, result.thresholds, result.model_calls) == GOLDEN_SUS_EX9
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+
+# bench workload: (p_hat as float hex, model calls) of its warm-up replication,
+# run_replication(RunConfig(problem, method, master_seed=0), 10**9)
+GOLDEN_BENCH = {
+    "qnp-2d-bimodal": ("0x1.5c1cdb65f9cd1p-15", 3150),
+    "qnp-100d-deformed": ("0x1.42fbe2ec7f14bp-13", 7200),
+    "sus-102d-frame": ("0x1.89bd8383ad9f2p-12", 7400),
+}
+
+
+def _workloads():
+    with open(WORKLOADS) as fh:
+        return json.load(fh)["workloads"]
+
+
+@pytest.mark.parametrize("name", sorted(_workloads()))
+def test_bench_workload_pins_its_warmup_replication(name):
+    workload = _workloads()[name]
+    problem, method = workload["problem"], workload["method"]
+    spec = resolve_spec(problem)
+    defaults = spec.astpa_defaults if method in ASTPA_METHODS else spec.sus_defaults
+    assert workload["registry_defaults"] == defaults
+    row = run_replication(RunConfig(problem, method, master_seed=0), 10 ** 9)
+    assert (row["pf_hat"].hex(), row["model_calls"]) == GOLDEN_BENCH[name]

@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from rareprob import (ChainState, DualAveraging, SmoothedTarget, TuningError,
-                      find_reasonable_epsilon, hmc_iteration, jitter_tau,
-                      leapfrog, make_benchmark, tune_trajectory)
-from rareprob.hmc import hmc_transition, n_leapfrog_steps
+from rareprob import (AstpaConfig, ChainState, DualAveraging, SmoothedTarget,
+                      TuningError, find_reasonable_epsilon, hmc, hmc_iteration,
+                      jitter_tau, leapfrog, make_benchmark, resolve_spec,
+                      tune_trajectory)
+from rareprob.hmc import hmc_transition, trajectory_discretization
 
 from conftest import GaussianTarget
 
@@ -250,10 +251,10 @@ def test_jitter_midpoint_stub():
 
 
 def test_n_leapfrog_steps():
-    assert n_leapfrog_steps(0.8, 0.2) == 4
-    assert n_leapfrog_steps(0.7, 0.35) == 2
-    assert n_leapfrog_steps(0.1, 5.0) == 1
-    assert n_leapfrog_steps(10.0, 0.01, max_steps=30) == 30
+    assert trajectory_discretization(0.8, 0.2)[0] == 4
+    assert trajectory_discretization(0.7, 0.35)[0] == 2
+    assert trajectory_discretization(0.1, 5.0)[0] == 1
+    assert trajectory_discretization(10.0, 0.01)[0] == 30
 
 
 def test_tune_trajectory_singleton():
@@ -266,6 +267,24 @@ def test_tune_trajectory_prefers_long_jumps():
     target = GaussianTarget(np.eye(2))
     tau, _ = tune_trajectory(target, [0.01, 0.7], pilot_iters=200, seed=1)
     assert tau == 0.7
+
+
+def test_tune_pilot_respects_the_step_cap(monkeypatch):
+    # the run caps every trajectory, so the pilot that ranks the lengths
+    # must run under the same cap; without it this pilot reaches 40 steps
+    spec = resolve_spec("example3")
+    target = SmoothedTarget(make_benchmark(spec), sigma=spec.astpa_defaults["sigma"],
+                            p=AstpaConfig.p)
+    steps = []
+
+    def recording_transition(state, logp_grad, eps, n_steps, rng, **kwargs):
+        steps.append(n_steps)
+        return hmc_transition(state, logp_grad, eps, n_steps, rng, **kwargs)
+
+    monkeypatch.setattr(hmc, "hmc_transition", recording_transition)
+    tune_trajectory(target, [0.3, 0.7, 1.0, 1.5], pilot_iters=5, seed=0)
+    assert len(steps) == 20
+    assert max(steps) <= hmc.MAX_LEAPFROG_STEPS
 
 
 def test_tune_trajectory_all_divergent():

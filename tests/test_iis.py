@@ -27,10 +27,9 @@ def logistic_weighted_normal(g_fn, sigma, p, thetas):
     return log_ell, log_ell - 0.5 * math.log(2 * math.pi) - 0.5 * thetas ** 2
 
 
-def build_sample_set(thetas, g, log_ell, log_h, phase="main"):
+def build_sample_set(thetas, g, log_ell, log_h):
     return SampleSet(theta=np.atleast_2d(thetas).T if np.ndim(thetas) == 1
-                     else thetas, g=g, log_ell=log_ell, log_h=log_h,
-                     phase=phase)
+                     else thetas, g=g, log_ell=log_ell, log_h=log_h)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +305,7 @@ def test_defensive_component_bounds_ratios():
     theta = rng.standard_normal((500, 2))
     q = fit_gmm(theta, k_max=2, seed=0)
     q_def = add_defensive_component(q, build_sample_set(
-        theta, np.zeros(500), np.zeros(500), np.zeros(500)), weight=0.05)
+        theta, np.zeros(500), np.zeros(500), np.zeros(500)))
     assert q_def.n_components == q.n_components + 1
     assert abs(q_def.weights.sum() - 1.0) < 1e-12
     far = np.array([[5.0, -5.0]])

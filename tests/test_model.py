@@ -107,7 +107,7 @@ def test_gradient_matches_finite_differences(benchmark_id, params):
     for _ in range(100):
         theta = rng.standard_normal(model.dim)
         _, grad = model.evaluate(theta)
-        fd = finite_difference_gradient(model, theta, step=1e-5)
+        fd = finite_difference_gradient(model, theta)
         scale = max(np.linalg.norm(grad), 1e-8)
         assert np.linalg.norm(grad - fd) <= 1e-5 * scale
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rareprob import hmc
+from rareprob import hmc, qnp
 from rareprob import (BfgsState, MassState, NumericalError, bfgs_update,
                       ensure_spd, finalize_mass, hmc_iteration,
                       make_benchmark, qnp_burnin_iteration, qnp_main_iteration,
@@ -265,10 +265,11 @@ def test_finalize_extra_iterations_keep_the_cost_guards(monkeypatch):
     # tau / eps = 5 steps without the cap; a negative threshold marks every
     # trajectory divergent, so W is rolled back and all 5 extras run
     monkeypatch.setattr(hmc, "MAX_DELTA_H", -1.0)
+    monkeypatch.setattr(qnp, "SPD_EXTRA_CAP", 5)
+    monkeypatch.setattr(hmc, "MAX_LEAPFROG_STEPS", 2)
     mass, _ = finalize_mass(bfgs, state, target.logp_grad, 0.3, 1.5,
-                            np.random.default_rng(8), extra_cap=5,
-                            record=lambda st, info: infos.append(info),
-                            max_steps=2)
+                            np.random.default_rng(8),
+                            record=lambda st, info: infos.append(info))
     assert mass.extra_iterations == len(infos) == 5
     assert all(info["n_steps"] <= 2 for info in infos)
     assert all(info["diverged"] for info in infos)
@@ -300,7 +301,7 @@ def test_momentum_draw_covariance():
 
 def test_identity_mass_reduces_to_plain_iteration():
     target = GaussianTarget(np.array([[1.5, 0.2], [0.2, 0.8]]))
-    mass = MassState.identity(2)
+    mass = MassState.from_w(np.eye(2))
     s_a = make_state(target, np.array([0.3, 0.4]))
     s_b = make_state(target, np.array([0.3, 0.4]))
     rng_a = np.random.default_rng(77)
@@ -350,7 +351,7 @@ def test_preconditioning_raises_acceptance_on_correlated_target():
             acc += info["accepted"]
         return acc / n
 
-    rate_identity = run(MassState.identity(2), 4)
+    rate_identity = run(MassState.from_w(np.eye(2)), 4)
     rate_precond = run(MassState.from_w(cov), 4)
     assert rate_precond > rate_identity
 
