@@ -68,15 +68,17 @@ def _ex2(r, kappa, e):
 
 def _ex3():
     # quartic bimodal: 6.5 - (t1 + t2)/sqrt(2) - 2.5 t^2 + t^4, t = t1 - t2
+    # far out on a divergent trajectory t ** 4 overflows: g is inf there
+    @np.errstate(over="ignore", invalid="ignore")
+    def grad(t):
+        dt = -5.0 * t + 4.0 * t ** 3
+        return np.array([-1.0 / SQRT2 + dt, -1.0 / SQRT2 - dt])
+
+    @np.errstate(over="ignore", invalid="ignore")
     def f(x):
         t = x[0] - x[1]
         g = 6.5 - (x[0] + x[1]) / SQRT2 - 2.5 * t * t + t ** 4
-
-        def grad():
-            dt = -5.0 * t + 4.0 * t ** 3
-            return np.array([-1.0 / SQRT2 + dt, -1.0 / SQRT2 - dt])
-
-        return g, grad
+        return g, lambda: grad(t)
 
     return _model_fns(f, 2)
 

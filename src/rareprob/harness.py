@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -236,6 +235,8 @@ def run_experiment(config):
     """Run all replications and aggregate; deterministic given the config."""
     jobs = [(config, rep) for rep in range(config.replications)]
     if config.n_jobs > 1 and len(jobs) > 1:
+        # deferred: importing the process pool costs a serial run ~20 ms
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
             results = list(pool.map(_replication_worker, jobs, chunksize=1))
     else:

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError, NumericalError
 
@@ -271,6 +270,9 @@ def deformed_subspace(theta):
         cols.append(mean / norm)
     if not cols:
         cols.append(np.eye(d)[:, 0])
+    # deferred: scipy.linalg takes ~0.3 s to import and only fits above
+    # GMM_DIM_LIMIT dimensions get here
+    import scipy.linalg
     return scipy.linalg.orth(np.stack(cols, axis=1))
 
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 from .hmc import hmc_transition, jitter_tau, trajectory_discretization
@@ -116,6 +115,9 @@ def ensure_spd(w):
     below the floor; a clean matrix is returned unchanged with delta = 0.
     Escalates delta by doubling if factorization still fails.
     """
+    # deferred: scipy.linalg takes ~0.3 s to import and only QNp runs use it
+    import scipy.linalg
+
     w = 0.5 * (w + w.T)
     try:
         lam_min = float(scipy.linalg.eigvalsh(w, subset_by_index=(0, 0))[0])
@@ -144,11 +146,14 @@ class MassState:
 
     @classmethod
     def from_w(cls, w, delta=0.0, extra_iterations=0):
+        # deferred as in ensure_spd; numpy's solvers would not give cho_solve's bits
+        import scipy.linalg
+
         w = 0.5 * (w + w.T)
         try:
             cho = scipy.linalg.cho_factor(w, lower=True)
             m = scipy.linalg.cho_solve(cho, np.eye(w.shape[0]))
-        except scipy.linalg.LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise NumericalError(f"mass finalization failed: {exc}") from exc
         m = 0.5 * (m + m.T)
         try:

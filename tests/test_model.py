@@ -142,13 +142,20 @@ def test_evaluate_batch_rejects_wrong_number_of_values():
         short.evaluate_batch(np.zeros((5, 2)))
 
 
-def test_example8_divergent_point_is_inf_without_warning():
-    # a runaway trajectory reaches |q7| = 1e50, where q7 ** 8 overflows
-    theta = np.zeros(100)
-    theta[6] = 1e50
+@pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
+@pytest.mark.parametrize("problem, theta", [
+    ("example8", 1e50 * np.eye(100)[6]),     # q7 ** 8 overflows
+    ("example3", np.array([1e80, -1e80])),   # t ** 4 overflows
+], ids=["example8", "example3"])
+def test_divergent_point_is_inf_without_warning(problem, theta, batch):
+    # a runaway trajectory reaches a point where an even power overflows
+    model = make_benchmark(problem)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g, _ = make_benchmark("example8").evaluate(theta)
+        if batch:
+            g = model.evaluate_batch(theta[None, :])[0]
+        else:
+            g, _ = model.evaluate(theta)
     assert g == math.inf
 
 

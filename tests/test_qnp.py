@@ -382,7 +382,8 @@ def test_preconditioned_energy_error_scaling():
 
 
 def test_mass_finalization_failure_raises():
-    with pytest.raises(NumericalError):
+    # cho_factor's LinAlgError is numpy's class, caught as np.linalg.LinAlgError
+    with pytest.raises(NumericalError, match="mass finalization failed"):
         MassState.from_w(np.diag([1.0, -1.0]))
 
 
