@@ -8,7 +8,7 @@ reference value by crude Monte Carlo.
 
 import numpy as np
 
-from rareprob import (benchmark_ids, crude_monte_carlo,
+from rareprob import (McConfig, benchmark_ids, crude_monte_carlo,
                       finite_difference_gradient, make_benchmark,
                       resolve_spec)
 
@@ -35,7 +35,7 @@ print(f"  central finite differences agree: {np.abs(grad - fd).max():.2e}")
 print()
 print("Crude Monte Carlo oracle on the four-branch system (p_F ~ 2.2e-3):")
 model = make_benchmark("example4")
-est = crude_monte_carlo(model, 2_000_000, seed=42)
+est = crude_monte_carlo(model, McConfig(2_000_000), seed=42)
 print(f"  n = {est.n_samples:,}  p_hat = {est.p_hat:.4e}  "
       f"cov = {est.cov:.3f}")
 print(f"  reference = {resolve_spec('example4').p_f_ref:.2e}")
@@ -44,6 +44,6 @@ print()
 print("The oracle refuses sample sizes that cannot resolve the target:")
 model = make_benchmark("example1")   # p_F ~ 4.7e-6
 try:
-    crude_monte_carlo(model, 10_000, seed=0)
+    crude_monte_carlo(model, McConfig(10_000), seed=0)
 except Exception as exc:
     print(f"  {type(exc).__name__}: {exc}")

@@ -29,8 +29,8 @@ t0 = time.perf_counter()
 pf, calls = [], []
 for rep in range(N_REPS):
     res = subset_simulation(make_benchmark("example1"),
-                            SusConfig(n_s=1000, p0=0.1, proposal="uniform",
-                                      seed=1000 + rep))
+                            SusConfig(n_s=1000, p0=0.1, proposal="uniform"),
+                            1000 + rep)
     pf.append(res.p_hat)
     calls.append(res.model_calls)
 pf = np.array(pf)

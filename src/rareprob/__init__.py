@@ -22,7 +22,7 @@ from .hmc import (ChainState, DualAveraging, find_reasonable_epsilon,
 from .iis import (EstimateReport, GmmModel, SampleSet, choose_thinning,
                   cov_analytic, estimate_pf, fit_gmm, fit_single_gaussian,
                   normalizing_constant)
-from .model import (BenchmarkSpec, LimitStateModel, McEstimate,
+from .model import (BenchmarkSpec, LimitStateModel, McConfig, McEstimate,
                     crude_monte_carlo, finite_difference_gradient)
 from .pipeline import AstpaConfig, RunArtifacts, run_astpa
 from .qnp import (BfgsState, MassState, bfgs_update, ensure_spd,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import (ConfigurationError, EstimationError, InvalidInputError,
                      NumericalError, SusConvergenceError, TuningError)
 from .harness import parse_config, run_experiment, sweep
 from .hmc import tune_trajectory
-from .model import crude_monte_carlo
+from .model import McConfig, crude_monte_carlo
 from .pipeline import AstpaConfig
 from .target import SmoothedTarget
 
@@ -82,7 +83,7 @@ def cmd_sweep(args):
 def cmd_oracle(args):
     spec = resolve_spec(args.problem)
     model = make_benchmark(spec)
-    est = crude_monte_carlo(model, args.n, args.seed or 0, force=args.force)
+    est = crude_monte_carlo(model, McConfig(args.n, args.force), args.seed or 0)
     out = {"problem": args.problem, "p_hat": est.p_hat, "n": est.n_samples,
            "cov": est.cov, "seed": est.seed, "p_f_ref": spec.p_f_ref}
     print(json.dumps(out, indent=2))
@@ -95,7 +96,16 @@ def cmd_tune(args):
     sigma = args.sigma if args.sigma is not None \
         else spec.astpa_defaults.get("sigma", AstpaConfig.sigma)
     target = SmoothedTarget(model, sigma=sigma, p=AstpaConfig.p)
-    candidates = [float(v) for v in args.candidates.split(",")]
+    try:
+        candidates = [float(v) for v in args.candidates.split(",")]
+    except ValueError as exc:
+        raise ConfigurationError(f"--candidates: {exc}") from exc
+    if not all(math.isfinite(t) and t > 0.0 for t in candidates):
+        raise ConfigurationError(
+            f"--candidates must be finite and > 0, got {args.candidates!r}")
+    if args.pilot_iters < 1:
+        raise ConfigurationError(
+            f"--pilot-iters must be >= 1, got {args.pilot_iters}")
     tau, eps = tune_trajectory(target, candidates, args.pilot_iters,
                                args.seed or 0)
     print(json.dumps({"problem": args.problem, "tau": tau, "epsilon": eps,

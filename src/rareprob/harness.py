@@ -13,23 +13,21 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
 from .benchmarks import make_benchmark, resolve_spec
 from .errors import ConfigurationError, RareprobError
-from .model import McConfig, check_resolvable, crude_monte_carlo
+from .model import BenchmarkSpec, McConfig, check_resolvable, crude_monte_carlo
 from .pipeline import METHODS as ASTPA_METHODS, AstpaConfig, run_astpa
 from .sus import SusConfig, subset_simulation
 
-METHODS = ASTPA_METHODS + ("sus-uniform", "sus-normal", "crude-mc")
+SUS_METHODS = ("sus-uniform", "sus-normal")
+METHODS = ASTPA_METHODS + SUS_METHODS + ("crude-mc",)
 
 _TOP_KEYS = {"problem", "method", "replications", "master_seed", "n_jobs"}
-_ASTPA_KEYS = {f.name for f in fields(AstpaConfig)}
-_SUS_KEYS = {"n_s", "p0", "max_levels"}
-_MC_KEYS = {f.name for f in fields(McConfig)}
 _OUTPUT_KEYS = {"csv", "json", "plot"}
 
 
@@ -43,6 +41,7 @@ class RunConfig:
     master_seed: int = 0
     outputs: dict = field(default_factory=dict)
     n_jobs: int = 1
+    spec: BenchmarkSpec = field(init=False, repr=False, compare=False)
     method_config: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -51,17 +50,12 @@ class RunConfig:
                 f"unknown method {self.method!r}; one of {METHODS}")
         if self.replications < 0:
             raise ConfigurationError("replications must be >= 0")
-        allowed = _method_keys(self.method)
-        for key in self.method_params:
-            if key not in allowed:
-                raise ConfigurationError(
-                    f"unknown method key {key!r} for {self.method}")
         for key in self.outputs:
             if key not in _OUTPUT_KEYS:
                 raise ConfigurationError(f"unknown output key {key!r}")
         # validates the problem and method values once, before any replication
-        spec = resolve_spec(self.problem, **self.problem_params)
-        self.method_config = _method_config(self.method, spec, self.method_params)
+        self.spec = resolve_spec(self.problem, **self.problem_params)
+        self.method_config = _method_config(self.method, self.spec, self.method_params)
 
     def to_dict(self):
         flat = {"problem": self.problem, "method": self.method,
@@ -73,27 +67,26 @@ class RunConfig:
         return flat
 
 
-def _method_keys(method):
-    if method in ASTPA_METHODS:
-        return _ASTPA_KEYS
-    if method in ("sus-uniform", "sus-normal"):
-        return _SUS_KEYS
-    return _MC_KEYS
-
-
 def _method_config(method, spec, params):
     """The method's Astpa, Sus or Mc config: registry defaults, overrides on top."""
+    fixed = {}                    # what the method name sets: the SuS proposal
+    if method in ASTPA_METHODS:
+        cls, defaults = AstpaConfig, spec.astpa_defaults
+    elif method in SUS_METHODS:
+        cls, defaults = SusConfig, spec.sus_defaults
+        fixed = {"proposal": method.split("-", 1)[1]}
+    else:
+        cls, defaults = McConfig, {}
+    for key in params:            # the settable keys are the config's fields
+        if key in fixed or key not in {f.name for f in fields(cls)}:
+            raise ConfigurationError(f"unknown method key {key!r} for {method}")
     try:
-        if method in ASTPA_METHODS:
-            return AstpaConfig(**{**spec.astpa_defaults, **params})
-        if method in ("sus-uniform", "sus-normal"):
-            return SusConfig(proposal=method.split("-", 1)[1],
-                             **{**spec.sus_defaults, **params})
+        config = cls(**{**defaults, **params, **fixed})
     except TypeError as exc:      # a value of the wrong type, e.g. a string
         raise ConfigurationError(f"bad {method} setting: {exc}") from exc
-    mc = McConfig(**params)
-    check_resolvable(spec.p_f_ref, mc)
-    return mc
+    if cls is McConfig:
+        check_resolvable(spec.p_f_ref, config)
+    return config
 
 
 def parse_config(flat):
@@ -198,7 +191,7 @@ class AggregateReport:
 def run_replication(config, rep):
     """One fully independent estimation; returns a report row."""
     seed = replication_seed(config.master_seed, rep)
-    model = make_benchmark(config.problem, **config.problem_params)
+    model = make_benchmark(config.spec)
     t0 = time.perf_counter()
 
     if config.method in ASTPA_METHODS:
@@ -208,16 +201,15 @@ def run_replication(config, rep):
                "model_calls": report.model_calls,
                "cov_analytic": report.cov_analytic,
                "accept_rate": report.accept_rate}
-    elif config.method in ("sus-uniform", "sus-normal"):
-        result = subset_simulation(model, replace(config.method_config, seed=seed))
+    elif config.method in SUS_METHODS:
+        result = subset_simulation(model, config.method_config, seed)
         row = {"rep": rep, "seed": seed, "pf_hat": result.p_hat,
                "model_calls": result.model_calls,
                "cov_analytic": None, "accept_rate": None}
     else:  # crude-mc
-        mc = config.method_config
-        est = crude_monte_carlo(model, mc.n, seed, force=mc.force)
+        est = crude_monte_carlo(model, config.method_config, seed)
         row = {"rep": rep, "seed": seed, "pf_hat": est.p_hat,
-               "model_calls": mc.n, "cov_analytic": est.cov,
+               "model_calls": est.n_samples, "cov_analytic": est.cov,
                "accept_rate": None}
     row["wall_ms"] = (time.perf_counter() - t0) * 1e3
     return row
@@ -249,9 +241,8 @@ def run_experiment(config):
             rows.append(row)
         else:
             failures.append({"rep": rep, "error": error})
-    spec = resolve_spec(config.problem, **config.problem_params)
     report = AggregateReport(config=config, rows=rows, failures=failures,
-                             p_f_ref=spec.p_f_ref)
+                             p_f_ref=config.spec.p_f_ref)
     emit_reports(report, config.outputs)
     return report
 
@@ -266,14 +257,8 @@ def emit_reports(report, paths):
         return
     csv_path = paths.get("csv")
     if csv_path:
-        try:
-            with open(csv_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(CSV_HEADER)
-                for row in report.rows:
-                    writer.writerow([_csv_cell(row[k]) for k in CSV_HEADER])
-        except OSError as exc:
-            raise ConfigurationError(f"cannot write CSV {csv_path!r}: {exc}") from exc
+        _write_csv(csv_path, CSV_HEADER,
+                   ([_csv_cell(row[k]) for k in CSV_HEADER] for row in report.rows))
     json_path = paths.get("json")
     if json_path:
         payload = {
@@ -288,6 +273,18 @@ def emit_reports(report, paths):
                 fh.write("\n")
         except OSError as exc:
             raise ConfigurationError(f"cannot write JSON {json_path!r}: {exc}") from exc
+
+
+def _write_csv(path, header, rows):
+    """Write a header and rows; a path that cannot be written is a
+    configuration error."""
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write CSV {path!r}: {exc}") from exc
 
 
 def _csv_cell(value):
@@ -320,13 +317,8 @@ def sweep(config, param, values, plot_path=None):
         except RareprobError as exc:
             errors.append({"value": value, "error": f"{type(exc).__name__}: {exc}"})
     if plot_path:
-        with open(plot_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([param, "mean_pf", "empirical_cov",
-                             "mean_model_calls", "eff"])
-            for value, rep in reports:
-                writer.writerow([value, _csv_cell(rep.mean_pf),
-                                 _csv_cell(rep.empirical_cov),
-                                 _csv_cell(rep.mean_model_calls),
-                                 _csv_cell(rep.eff)])
+        columns = ("mean_pf", "empirical_cov", "mean_model_calls", "eff")
+        _write_csv(plot_path, [param, *columns],
+                   ([value] + [_csv_cell(getattr(rep, c)) for c in columns]
+                    for value, rep in reports))
     return reports, errors

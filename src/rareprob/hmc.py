@@ -90,9 +90,9 @@ def leapfrog(theta, z, grad, eps, n_steps, logp_grad, velocity=None, force=None,
         if np.count_nonzero(np.isfinite(theta)) < theta.size:
             return theta, z, -math.inf, grad, aux, False
         logp, grad, aux = logp_grad(theta)
-        z = z + half * (grad if force is None else force(grad))
-        if not math.isfinite(logp) or np.count_nonzero(np.isfinite(z)) < z.size:
+        if not math.isfinite(logp) or np.count_nonzero(np.isfinite(grad)) < grad.size:
             return theta, z, logp, grad, aux, False
+        z = z + half * (grad if force is None else force(grad))
         if on_step is not None:
             on_step(theta - theta_prev, grad - grad_prev)
     return theta, z, logp, grad, aux, True

@@ -158,13 +158,13 @@ def check_resolvable(p_ref, config):
             f"n={n} cannot resolve p~{p_ref:.3g} (need p*n >= 10); pass force=True")
 
 
-def crude_monte_carlo(model, n, seed, force=False):
-    """Brute-force reference estimate: fraction of failing standard normal draws.
-
-    ``n`` and ``force`` are checked as an ``McConfig`` and by
-    ``check_resolvable``.  Deterministic given the seed.
+def crude_monte_carlo(model, config, seed):
+    """Brute-force reference estimate: fraction of failing standard normal draws
+    among ``config.n`` (checked by ``check_resolvable``).  Deterministic given
+    the seed.
     """
-    check_resolvable(getattr(model, "p_f_ref", None), McConfig(n, force))
+    check_resolvable(getattr(model, "p_f_ref", None), config)
+    n = config.n
     rng = np.random.default_rng(seed)
     n_fail = 0
     done = 0

@@ -44,12 +44,21 @@ class AstpaConfig:
     budget: int | None = None
 
     def __post_init__(self):
-        if self.budget is None:
-            raise ConfigurationError("budget must be set")
+        # a count is an int, not a bool; the budget has no default
+        if type(self.budget) is not int or self.budget < 1:
+            raise ConfigurationError(
+                f"budget must be set to an integer >= 1, got {self.budget!r}")
+        if self.n_burnin is not None and (type(self.n_burnin) is not int
+                                          or self.n_burnin < 0):
+            raise ConfigurationError(
+                f"n_burnin must be None or an integer >= 0, got {self.n_burnin!r}")
         if not 0.0 < self.sigma <= 1.0:
             raise ConfigurationError(f"sigma must be in (0, 1], got {self.sigma}")
         if not 0.0 < self.p < 1.0:
             raise ConfigurationError(f"percentile must be in (0, 1), got {self.p}")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ConfigurationError(
+                f"tau must be finite and > 0, got {self.tau}")
 
 
 @dataclass
@@ -72,7 +81,7 @@ def _calibration_window(n_burnin):
 
 def _resolve_n_burnin(config, eps0):
     if config.n_burnin is not None:
-        return int(config.n_burnin)
+        return config.n_burnin
     steps = max(1, round(config.tau / eps0))
     return max(2, int(round(0.10 * config.budget / steps)))
 

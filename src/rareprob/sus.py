@@ -27,7 +27,6 @@ class SusConfig:
     p0: float = 0.1            # level percentile
     proposal: str = "uniform"  # "uniform": width-2 window; "normal": N(0,1) step
     max_levels: int = 30
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.p0 < 1.0:
@@ -35,6 +34,12 @@ class SusConfig:
         if self.proposal not in PROPOSALS:
             raise ConfigurationError(
                 f"proposal must be one of {PROPOSALS}, got {self.proposal!r}")
+        if type(self.n_s) is not int or round(self.n_s * self.p0) < 1:
+            raise ConfigurationError(
+                f"n_s must be an integer with round(n_s*p0) >= 1, got {self.n_s!r}")
+        if type(self.max_levels) is not int or self.max_levels < 1:
+            raise ConfigurationError(
+                f"max_levels must be an integer >= 1, got {self.max_levels!r}")
         n_seed = self.n_s * self.p0
         if abs(n_seed - round(n_seed)) > 1e-9:
             warnings.warn(
@@ -48,7 +53,6 @@ class SusResult:
     n_levels: int
     thresholds: list = field(default_factory=list)
     model_calls: int = 0
-    seed: int = 0
 
 
 def level_threshold(g_values, p0):
@@ -60,11 +64,12 @@ def level_threshold(g_values, p0):
     return max(b, 0.0)
 
 
-def subset_simulation(model, config):
-    """Estimate the failure probability by sequential conditional levels."""
-    rng = np.random.default_rng(config.seed)
+def subset_simulation(model, config, seed):
+    """Estimate the failure probability by sequential conditional levels;
+    deterministic given the seed."""
+    rng = np.random.default_rng(seed)
     d = model.dim
-    n_s = int(config.n_s)
+    n_s = config.n_s
     p0 = config.p0
     n_seed = int(round(n_s * p0))
     calls_start = model.call_count
@@ -81,8 +86,7 @@ def subset_simulation(model, config):
             r = float(np.mean(g <= 0.0))
             return SusResult(p_hat=p0 ** (level - 1) * r, n_levels=level,
                              thresholds=thresholds,
-                             model_calls=model.call_count - calls_start,
-                             seed=config.seed)
+                             model_calls=model.call_count - calls_start)
         if level >= config.max_levels:
             raise SusConvergenceError(
                 f"no convergence within {config.max_levels} levels",

@@ -45,9 +45,11 @@ def sigmoid(u):
 
 
 @np.errstate(over="ignore")
-def _half_sq_norm(theta):
-    # a divergent trajectory may overflow |theta|^2: the log density is -inf
-    return 0.5 * float(theta.dot(theta))
+def _half_sq_norm_and_grad(theta, coef, grad_g):
+    """0.5 |theta|^2 and -theta - coef grad_g.  A divergent trajectory may
+    overflow either: the log density is then -inf or the gradient non-finite,
+    and the leapfrog counts a divergence."""
+    return 0.5 * float(theta.dot(theta)), -theta - coef * grad_g
 
 
 def compute_g_c(g_at_origin):
@@ -217,9 +219,9 @@ class SmoothedTarget:
         params = params or self.final_params
         u = (g / params.g_c + params.mu_g) / params.c
         log_ell = params.log_omega - softplus(u)
-        logp = log_ell - self._log_norm - _half_sq_norm(theta)
-        grad = -theta - (sigmoid(u) / (params.g_c * params.c)) * grad_g
-        return logp, grad, log_ell
+        half_sq, grad = _half_sq_norm_and_grad(
+            theta, sigmoid(u) / (params.g_c * params.c), grad_g)
+        return log_ell - self._log_norm - half_sq, grad, log_ell
 
     # -- the model-calling entry point ---------------------------------------
 

@@ -122,8 +122,7 @@ def test_criterion_6_subset_simulation_baseline(criterion1_run):
     for rep in range(500):
         model = make_linear_model(beta=3.0)
         res = subset_simulation(model, SusConfig(
-            n_s=1000, p0=0.1, proposal="uniform",
-            seed=replication_seed(606, rep)))
+            n_s=1000, p0=0.1, proposal="uniform"), replication_seed(606, rep))
         pf.append(res.p_hat)
     mean = float(np.mean(pf))
     ok_1d = abs(mean - ref) <= 0.15 * ref
@@ -131,8 +130,7 @@ def test_criterion_6_subset_simulation_baseline(criterion1_run):
     sus_pf, sus_calls = [], []
     for rep in range(200):
         res = subset_simulation(make_benchmark("example1"), SusConfig(
-            n_s=1000, p0=0.1, proposal="uniform",
-            seed=replication_seed(607, rep)))
+            n_s=1000, p0=0.1, proposal="uniform"), replication_seed(607, rep))
         sus_pf.append(res.p_hat)
         sus_calls.append(res.model_calls)
     sus_pf = np.array(sus_pf)

@@ -1,8 +1,11 @@
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
+from rareprob import benchmark_ids, register_model
 from rareprob.cli import main
 
 
@@ -59,7 +62,12 @@ def test_unknown_key_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("method,setting", [
     ("qnp-hmcmc", "method.sigma=2"), ("sus-uniform", "method.p0=1.5"),
     ("hmcmc", "method.sigma=abc"), ("crude-mc", "method.n=abc"),
-    ("crude-mc", "method.n=0"), ("crude-mc", "method.n=1000")])
+    ("crude-mc", "method.n=0"), ("crude-mc", "method.n=1000"),
+    ("hmcmc", "method.budget=abc"), ("hmcmc", "method.budget=-10"),
+    ("hmcmc", "method.budget=5.5"), ("hmcmc", "method.budget=true"),
+    ("hmcmc", "method.tau=-1"), ("qnp-hmcmc", "method.tau=inf"),
+    ("hmcmc", "method.n_burnin=-3"), ("sus-uniform", "method.n_s=0"),
+    ("sus-uniform", "method.max_levels=0")])
 def test_invalid_method_value_exit_code(capsys, method, setting):
     # rejected before any replication runs, not counted as failed replications
     code, out, err = run_cli(capsys, "run", "--problem", "example1",
@@ -116,11 +124,33 @@ def test_sweep_cli(tmp_path, capsys):
 
 
 def test_tuning_failure_exit_code(capsys):
-    # zero pilot iterations: every candidate is unusable -> numerical exit
-    code, _, err = run_cli(capsys, "tune", "--problem", "example1",
-                           "--candidates", "0.7", "--pilot-iters", "0")
+    # a model that is finite only at the origin: every pilot trajectory
+    # diverges, so every candidate is unusable -> numerical exit
+    name = "cli-finite-only-at-origin"
+    if name not in benchmark_ids():
+        register_model(name, 2, lambda th: (1.0 if not th.any() else math.inf,
+                                            np.zeros(2)))
+    code, _, err = run_cli(capsys, "tune", "--problem", name,
+                           "--candidates", "0.7", "--pilot-iters", "5")
     assert code == 3
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--problem", "example6", "--method", "crude-mc",
+     "--replications", "1", "--set", "method.n=20000", "--set",
+     "method.force=true", "--param", "problem.beta", "--values", "1.0",
+     "--plot-csv", "/"),
+    ("tune", "--problem", "example1", "--candidates", "abc"),
+    ("tune", "--problem", "example1", "--candidates", ""),
+    ("tune", "--problem", "example1", "--candidates", "0.7,0"),
+    ("tune", "--problem", "example1", "--pilot-iters", "0")],
+    ids=["plot-csv-is-a-directory", "candidates-unparsable",
+         "candidates-empty", "candidate-zero", "pilot-iters-zero"])
+def test_bad_cli_input_is_a_configuration_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "configuration error" in err
 
 
 def test_tune_cli(capsys):

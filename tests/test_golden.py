@@ -84,7 +84,7 @@ def test_golden_run_is_bit_identical(key):
 def test_golden_subset_simulation_is_bit_identical():
     spec = resolve_spec("example9")
     result = subset_simulation(make_benchmark(spec),
-                               SusConfig(proposal="uniform", seed=109, **spec.sus_defaults))
+                               SusConfig(proposal="uniform", **spec.sus_defaults), 109)
     assert (result.p_hat, result.thresholds, result.model_calls) == GOLDEN_SUS_EX9
 
 
@@ -113,3 +113,19 @@ def test_bench_workload_pins_its_warmup_replication(name):
     assert workload["registry_defaults"] == defaults
     row = run_replication(RunConfig(problem, method, master_seed=0), 10 ** 9)
     assert (row["pf_hat"].hex(), row["model_calls"]) == GOLDEN_BENCH[name]
+
+
+# the harness path of the other methods, pinned the same way:
+# (problem, method) -> (p_hat as float hex, model calls) of
+# run_replication(RunConfig(problem, method, master_seed=0), 10**9)
+GOLDEN_METHODS = {
+    ("example2", "hmcmc"): ("0x1.49aeb9cfff81fp-15", 3150),
+    ("example9", "sus-normal"): ("0x1.101b003686a4ep-12", 7400),
+    ("example4", "crude-mc"): ("0x1.1cb039ef0f16fp-9", 10 ** 6),
+}
+
+
+@pytest.mark.parametrize("problem,method", sorted(GOLDEN_METHODS))
+def test_harness_replication_is_bit_identical(problem, method):
+    row = run_replication(RunConfig(problem, method, master_seed=0), 10 ** 9)
+    assert (row["pf_hat"].hex(), row["model_calls"]) == GOLDEN_METHODS[problem, method]

@@ -165,6 +165,21 @@ def test_foreign_exception_recorded_and_other_rows_kept(monkeypatch):
     assert report.failures == [{"rep": 1, "error": "ValueError: user model broke"}]
 
 
+def test_run_experiment_resolves_its_spec_once(monkeypatch):
+    calls = []
+    original = rareprob.benchmarks.resolve_spec
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (rareprob.benchmarks, rareprob.harness):
+        monkeypatch.setattr(module, "resolve_spec", counting)
+    report = run_experiment(qnp_config(None))
+    assert report.n_success == 3
+    assert len(calls) == 1
+
+
 def test_eff_identity():
     report = run_experiment(qnp_config(None, replications=4))
     assert report.eff == pytest.approx(

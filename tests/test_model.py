@@ -7,8 +7,9 @@ import pytest
 
 import rareprob
 from rareprob import (ConfigurationError, DimensionError, InvalidInputError,
-                      LimitStateModel, benchmark_ids, crude_monte_carlo,
-                      finite_difference_gradient, make_benchmark, resolve_spec)
+                      LimitStateModel, McConfig, benchmark_ids,
+                      crude_monte_carlo, finite_difference_gradient,
+                      make_benchmark, resolve_spec)
 from rareprob.benchmarks import analytic_reference
 
 from conftest import make_constant_model
@@ -192,10 +193,10 @@ def test_register_user_model():
 
 def test_crude_mc_trivial():
     always = make_constant_model(-1.0)
-    est = crude_monte_carlo(always, 1000, seed=1, force=True)
+    est = crude_monte_carlo(always, McConfig(1000, force=True), seed=1)
     assert est.p_hat == 1.0
     never = make_constant_model(1.0)
-    est = crude_monte_carlo(never, 1000, seed=1, force=True)
+    est = crude_monte_carlo(never, McConfig(1000, force=True), seed=1)
     assert est.p_hat == 0.0
     assert est.cov == math.inf
 
@@ -203,7 +204,7 @@ def test_crude_mc_trivial():
 def test_crude_mc_example4_reference():
     model = make_benchmark("example4")
     n = 10 ** 7
-    est = crude_monte_carlo(model, n, seed=123)
+    est = crude_monte_carlo(model, McConfig(n), seed=123)
     ref = 2.20e-3
     se = math.sqrt(ref * (1 - ref) / n)
     assert abs(est.p_hat - ref) <= 3 * se
@@ -213,16 +214,17 @@ def test_crude_mc_example4_reference():
 
 def test_crude_mc_reproducible():
     model = make_benchmark("example2")
-    a = crude_monte_carlo(model, 50_000, seed=77, force=True)
-    b = crude_monte_carlo(make_benchmark("example2"), 50_000, seed=77, force=True)
+    a = crude_monte_carlo(model, McConfig(50_000, force=True), seed=77)
+    b = crude_monte_carlo(make_benchmark("example2"), McConfig(50_000, force=True),
+                          seed=77)
     assert a.p_hat == b.p_hat
 
 
 def test_crude_mc_refuses_unresolvable_n():
     model = make_benchmark("example1")  # ref 4.73e-6
     with pytest.raises(ConfigurationError):
-        crude_monte_carlo(model, 10_000, seed=1)
-    est = crude_monte_carlo(model, 10_000, seed=1, force=True)
+        crude_monte_carlo(model, McConfig(10_000), seed=1)
+    est = crude_monte_carlo(model, McConfig(10_000, force=True), seed=1)
     assert est.n_samples == 10_000
 
 

@@ -119,6 +119,13 @@ def test_config_validation():
         AstpaConfig(sigma=1.5, budget=100)
     with pytest.raises(ConfigurationError):
         AstpaConfig(sigma=0.4, p=1.0, budget=100)
+    # counts are ints, not bools; tau is finite and positive
+    for bad in ({"budget": 0}, {"budget": -10}, {"budget": 5.5},
+                {"budget": True}, {"budget": "abc"}, {"n_burnin": -3},
+                {"n_burnin": 2.0}, {"tau": -1.0}, {"tau": 0.0},
+                {"tau": math.inf}, {"tau": math.nan}):
+        with pytest.raises(ConfigurationError):
+            AstpaConfig(**{"budget": 100, **bad})
     with pytest.raises(ConfigurationError):
         run_astpa(make_benchmark("example1"), small_config(), 0,
                   method="nuts")
@@ -188,12 +195,16 @@ def test_origin_in_failure_domain_is_flagged():
     assert any("failure domain" in w for w in report.warnings)
 
 
-def test_divergent_burnin_trajectory_raises_no_warning():
-    # replication 1 of example8 under master seed 5 runs a divergent burn-in
-    # trajectory: its curvature pair and its kinetic energy overflow, the
-    # pair is skipped and the trajectory counts as divergent
-    config = RunConfig(problem="example8", method="qnp-hmcmc", master_seed=5)
+@pytest.mark.parametrize("problem,master_seed,rep", [
+    ("example8", 5, 1), ("example3", 131, 1)])
+def test_divergent_burnin_trajectory_raises_no_warning(problem, master_seed, rep):
+    # each replication runs a divergent burn-in trajectory.  On example8 its
+    # curvature pair and its kinetic energy overflow, the pair is skipped and
+    # the trajectory counts as divergent; on example3 the gradient holds an
+    # inf, which ends the trajectory before the momentum step
+    config = RunConfig(problem=problem, method="qnp-hmcmc",
+                       master_seed=master_seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        row = run_replication(config, 1)
+        row = run_replication(config, rep)
     assert math.isfinite(row["pf_hat"]) and row["pf_hat"] > 0.0

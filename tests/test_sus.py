@@ -40,7 +40,7 @@ def test_level_threshold_is_the_clipped_order_statistic(g, p0):
 
 def test_always_failing_terminates_at_level_zero():
     model = make_constant_model(-1.0)
-    res = subset_simulation(model, SusConfig(n_s=500, p0=0.1, seed=0))
+    res = subset_simulation(model, SusConfig(n_s=500, p0=0.1), 0)
     assert res.p_hat == 1.0
     assert res.n_levels == 1
     assert res.model_calls == 500
@@ -48,8 +48,8 @@ def test_always_failing_terminates_at_level_zero():
 
 def test_call_accounting_formula():
     model = make_benchmark("example1")
-    cfg = SusConfig(n_s=1000, p0=0.1, proposal="uniform", seed=5)
-    res = subset_simulation(model, cfg)
+    cfg = SusConfig(n_s=1000, p0=0.1, proposal="uniform")
+    res = subset_simulation(model, cfg, 5)
     expected = 1000 + (res.n_levels - 1) * 1000 * (1 - 0.1)
     assert res.model_calls == expected
     assert res.model_calls == model.call_count
@@ -57,7 +57,7 @@ def test_call_accounting_formula():
 
 def test_thresholds_decrease_monotonically():
     model = make_linear_model(beta=3.5)
-    res = subset_simulation(model, SusConfig(n_s=1000, p0=0.1, seed=2))
+    res = subset_simulation(model, SusConfig(n_s=1000, p0=0.1), 2)
     assert all(np.diff(res.thresholds) < 0)
     assert res.thresholds[-1] <= 0.0
     assert 0.0 < res.p_hat <= 1.0
@@ -69,8 +69,8 @@ def test_one_dim_linear_reference():
     for rep in range(200):
         model = make_linear_model(beta=3.0)
         res = subset_simulation(model, SusConfig(n_s=1000, p0=0.1,
-                                                 proposal="uniform",
-                                                 seed=100 + rep))
+                                                 proposal="uniform"),
+                                100 + rep)
         pf.append(res.p_hat)
     mean = float(np.mean(pf))
     assert abs(mean - ref) <= 0.15 * ref
@@ -78,9 +78,9 @@ def test_one_dim_linear_reference():
 
 def test_deterministic_given_seed():
     a = subset_simulation(make_benchmark("example2"),
-                          SusConfig(n_s=500, p0=0.1, seed=42))
+                          SusConfig(n_s=500, p0=0.1), 42)
     b = subset_simulation(make_benchmark("example2"),
-                          SusConfig(n_s=500, p0=0.1, seed=42))
+                          SusConfig(n_s=500, p0=0.1), 42)
     assert a.p_hat == b.p_hat
     assert a.thresholds == b.thresholds
 
@@ -92,11 +92,11 @@ def test_uniform_and_normal_proposals_agree_on_benchmark1():
     for rep in range(500):
         res = subset_simulation(make_benchmark("example1"),
                                 SusConfig(n_s=1000, p0=0.1,
-                                          proposal="uniform", seed=900 + rep))
+                                          proposal="uniform"), 900 + rep)
         pf_u.append(res.p_hat)
         res = subset_simulation(make_benchmark("example1"),
                                 SusConfig(n_s=1000, p0=0.1,
-                                          proposal="normal", seed=5900 + rep))
+                                          proposal="normal"), 5900 + rep)
         pf_n.append(res.p_hat)
     t = stats.ttest_ind(pf_u, pf_n, equal_var=False)
     assert t.pvalue > 0.01
@@ -111,8 +111,7 @@ def test_uniform_and_normal_proposals_agree_on_benchmark1():
 def test_max_levels_error_carries_partial_thresholds():
     model = make_linear_model(beta=9.0)
     with pytest.raises(SusConvergenceError) as err:
-        subset_simulation(model, SusConfig(n_s=200, p0=0.1, max_levels=3,
-                                           seed=0))
+        subset_simulation(model, SusConfig(n_s=200, p0=0.1, max_levels=3), 0)
     assert len(err.value.thresholds) == 3
     assert all(np.diff(err.value.thresholds) < 0)
 
@@ -124,9 +123,14 @@ def test_config_validation():
         SusConfig(proposal="cauchy")
     with pytest.warns(UserWarning, match="rounding"):
         SusConfig(n_s=997, p0=0.1)
+    # counts are ints, not bools, and every level keeps at least one seed
+    for bad in ({"n_s": 0}, {"n_s": 4}, {"n_s": 500.0}, {"n_s": True},
+                {"max_levels": 0}, {"max_levels": 2.0}, {"max_levels": True}):
+        with pytest.raises(ConfigurationError):
+            SusConfig(**bad)
 
 
 def test_result_fields():
     res = SusResult(p_hat=1e-4, n_levels=4, thresholds=[2.0, 1.0, 0.0],
-                    model_calls=3700, seed=7)
+                    model_calls=3700)
     assert res.p_hat == 1e-4 and res.model_calls == 3700

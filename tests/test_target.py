@@ -190,6 +190,16 @@ def test_view_of_divergent_point_is_minus_inf_without_warning():
     assert logp == -math.inf
 
 
+def test_view_of_a_huge_model_gradient_is_non_finite_without_warning():
+    # the likelihood term of the gradient overflows for a huge but finite
+    # grad g; the leapfrog counts the non-finite gradient as a divergence
+    target = SmoothedTarget(make_benchmark("example8"), sigma=0.4, p=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, grad, _ = target.view(np.zeros(100), 5.0, np.full(100, 1e308))
+    assert not np.isfinite(grad).any()
+
+
 def _points_and_slopes(theta_bound, slope_bound):
     """(theta_i, a_i) pairs of a 1- to 5-dim point and linear-model slope."""
     pair = st.tuples(st.floats(-theta_bound, theta_bound),
