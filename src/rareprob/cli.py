@@ -21,7 +21,7 @@ from .errors import (ConfigurationError, EstimationError, InvalidInputError,
 from .harness import parse_config, run_experiment, sweep
 from .hmc import tune_trajectory
 from .model import McConfig, crude_monte_carlo
-from .pipeline import AstpaConfig
+from .pipeline import AstpaConfig, check_sigma
 from .target import SmoothedTarget
 
 EXIT_CONFIG = 2
@@ -95,6 +95,7 @@ def cmd_tune(args):
     model = make_benchmark(spec)
     sigma = args.sigma if args.sigma is not None \
         else spec.astpa_defaults.get("sigma", AstpaConfig.sigma)
+    check_sigma(sigma)
     target = SmoothedTarget(model, sigma=sigma, p=AstpaConfig.p)
     try:
         candidates = [float(v) for v in args.candidates.split(",")]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, fields
 
@@ -50,9 +51,10 @@ class RunConfig:
                 f"unknown method {self.method!r}; one of {METHODS}")
         if self.replications < 0:
             raise ConfigurationError("replications must be >= 0")
-        for key in self.outputs:
+        for key, path in self.outputs.items():
             if key not in _OUTPUT_KEYS:
                 raise ConfigurationError(f"unknown output key {key!r}")
+            _check_output_path(f"output.{key}", path)
         # validates the problem and method values once, before any replication
         self.spec = resolve_spec(self.problem, **self.problem_params)
         self.method_config = _method_config(self.method, self.spec, self.method_params)
@@ -65,6 +67,23 @@ class RunConfig:
         flat.update({f"method.{k}": v for k, v in self.method_params.items()})
         flat.update({f"output.{k}": v for k, v in self.outputs.items()})
         return flat
+
+
+def _check_output_path(what, path):
+    """Fail before any replication on a report path that cannot be written:
+    a directory, or a file whose directory is missing or read-only.  The
+    file itself is created only when the report is written."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"directory {parent!r} does not exist"
+    elif not os.access(parent, os.W_OK) or (os.path.exists(path)
+                                            and not os.access(path, os.W_OK)):
+        reason = "not writable"
+    else:
+        return
+    raise ConfigurationError(f"cannot write {what} {path!r}: {reason}")
 
 
 def _method_config(method, spec, params):
@@ -303,6 +322,8 @@ def sweep(config, param, values, plot_path=None):
     """
     if not values:
         raise ConfigurationError("sweep grid is empty")
+    if plot_path:
+        _check_output_path("plot CSV", plot_path)
     reports = []
     errors = []
     for value in values:

@@ -31,6 +31,7 @@ DEFENSIVE_WEIGHT = 0.02     # mixture weight of the defensive component
 DEFENSIVE_INFLATE = 4.0     # its covariance over the sample covariance
 THINNING_LOW, THINNING_HIGH = 5, 50
 THINNING_DIM_SPLIT = 20
+ROW_BLOCK = 1024            # rows per block of a row-wise reduction
 
 
 def choose_thinning(d):
@@ -200,6 +201,16 @@ def _regularize(cov, rel=1e-6, min_trace=0.0):
     return cov + np.multiply.outer(jitter, np.eye(d))
 
 
+def row_sq_norms(theta):
+    """Squared Euclidean norm of each row of a 2-D array, a block of rows
+    at a time: no temporary as large as ``theta`` is made, and each row's
+    sum is the one ``(theta ** 2).sum(axis=1)`` gives, bit for bit."""
+    out = np.empty(theta.shape[0])
+    for i in range(0, theta.shape[0], ROW_BLOCK):
+        out[i:i + ROW_BLOCK] = (theta[i:i + ROW_BLOCK] ** 2).sum(axis=1)
+    return out
+
+
 def _moments(theta):
     """Sample mean and (n-1)-normalised sample covariance of the rows."""
     mean = theta.mean(axis=0)
@@ -245,7 +256,7 @@ class SubspaceDensity:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         coords = thetas @ self.basis
         with np.errstate(over="ignore", invalid="ignore"):
-            sq_perp = (thetas ** 2).sum(axis=1) - (coords ** 2).sum(axis=1)
+            sq_perp = row_sq_norms(thetas) - row_sq_norms(coords)
         # both squared norms overflow (inf - inf) only far out, where the
         # density vanishes; finite rows are untouched
         sq_perp = np.where(np.isnan(sq_perp), np.inf, sq_perp)

@@ -19,11 +19,17 @@ from . import iis
 from .errors import ConfigurationError, EstimationError, InvalidInputError
 from .hmc import (MAX_LEAPFROG_STEPS, ChainState, DualAveraging,
                   find_reasonable_epsilon, hmc_iteration)
-from .qnp import BfgsState, MassState, finalize_mass, qnp_burnin_iteration, \
-    qnp_main_iteration
+from .qnp import SPD_EXTRA_CAP, BfgsState, MassState, finalize_mass, \
+    qnp_burnin_iteration, qnp_main_iteration
 from .target import SmoothedTarget
 
 METHODS = ("hmcmc", "qnp-hmcmc")
+
+
+def check_sigma(sigma):
+    """The likelihood dispersion of a run (and of a ``tune`` pilot)."""
+    if not 0.0 < sigma <= 1.0:
+        raise ConfigurationError(f"sigma must be in (0, 1], got {sigma}")
 
 
 @dataclass
@@ -52,8 +58,7 @@ class AstpaConfig:
                                           or self.n_burnin < 0):
             raise ConfigurationError(
                 f"n_burnin must be None or an integer >= 0, got {self.n_burnin!r}")
-        if not 0.0 < self.sigma <= 1.0:
-            raise ConfigurationError(f"sigma must be in (0, 1], got {self.sigma}")
+        check_sigma(self.sigma)
         if not 0.0 < self.p < 1.0:
             raise ConfigurationError(f"percentile must be in (0, 1), got {self.p}")
         if not (math.isfinite(self.tau) and self.tau > 0.0):
@@ -73,6 +78,47 @@ class RunArtifacts:
     target: SmoothedTarget
     diverged: int
     burnin_accept_rate: float = math.nan
+
+
+class PhaseRecord:
+    """The recorded states of one sampling phase, one array row each.
+
+    Theta, g and the accepted and diverged flags are written in place into
+    blocks sized up front.  A phase that outgrows them moves to blocks twice
+    the size, so rows past the last recorded state are never touched and
+    the finished columns are views, never copies.
+    """
+
+    def __init__(self, capacity, d):
+        capacity = max(capacity, 1)
+        self._theta = np.empty((capacity, d))
+        self._g = np.empty(capacity)
+        self._accepted = np.empty(capacity, dtype=bool)
+        self._diverged = np.empty(capacity, dtype=bool)
+        self.n = 0
+
+    def append(self, state, info):
+        i = self.n
+        if i == self._g.size:
+            self._grow()
+        self._theta[i] = state.theta
+        self._g[i] = state.aux[0]
+        self._accepted[i] = info["accepted"]
+        self._diverged[i] = info["diverged"]
+        self.n = i + 1
+
+    def _grow(self):
+        for name in ("_theta", "_g", "_accepted", "_diverged"):
+            old = getattr(self, name)
+            new = np.empty((2 * old.shape[0],) + old.shape[1:], dtype=old.dtype)
+            new[:self.n] = old[:self.n]
+            setattr(self, name, new)
+
+    # the recorded rows, as views
+    theta = property(lambda self: self._theta[:self.n])
+    g = property(lambda self: self._g[:self.n])
+    accepted = property(lambda self: self._accepted[:self.n])
+    diverged = property(lambda self: self._diverged[:self.n])
 
 
 def _calibration_window(n_burnin):
@@ -108,7 +154,6 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
     n_burnin = _resolve_n_burnin(config, eps0)
     target.anneal(n_burnin)
     da = DualAveraging(eps0)
-    burn, main = [], []     # (theta, g, info) per recorded iteration
 
     def run_phase(state, kernel, arg, eps, da, record, n=None, annealed=False):
         """``n`` iterations of ``kernel`` (until the budget is spent when None).
@@ -127,16 +172,19 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
                                  eps, config.tau, rng, arg)
             if da is not None:
                 eps = da.update(info["alpha"])
-            record.append((state.theta, state.aux[0], info))
+            record.append(state, info)
         return state
 
     # the step functions are looked up here, at call time, never bound early
     if method == "qnp-hmcmc":
         bfgs = BfgsState(d)
         burnin_step, main_step = qnp_burnin_iteration, qnp_main_iteration
+        # the SPD repair and the calibration window record into burn-in too
+        burn = PhaseRecord(n_burnin + SPD_EXTRA_CAP + _calibration_window(n_burnin), d)
     else:
         bfgs = None
         burnin_step = main_step = hmc_iteration
+        burn = PhaseRecord(n_burnin, d)
     state = run_phase(state, burnin_step, bfgs, da.current_eps, da, burn,
                       n_burnin, annealed=True)
     eps_main = da.frozen_eps
@@ -146,7 +194,7 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
     if bfgs is not None:
         mass, state = finalize_mass(
             bfgs, state, target.logp_grad, eps_main, config.tau, rng,
-            record=lambda st, info: burn.append((st.theta, st.aux[0], info)))
+            record=burn.append)
         # The preconditioned kinetics rescale the dynamics, so the burn-in
         # step size does not carry over.  Re-anchor with the same search
         # heuristic under the new mass, then settle it with a short adaptive
@@ -159,14 +207,14 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
                           burn, _calibration_window(n_burnin))
         eps_main = da_cal.frozen_eps
 
+    # every main iteration but one that diverges before its first step calls
+    # the model, so the calls left bound the rows; growth covers the rest
+    main = PhaseRecord(config.budget - model.call_count, d)
     run_phase(state, main_step, mass, eps_main, None, main)
-    if not main:
+    if not main.n:
         raise EstimationError(
             f"budget {config.budget} exhausted before the main phase "
             f"(burn-in used {model.call_count} calls)")
-    n_accept = sum(info["accepted"] for _, _, info in main)
-    n_diverged = sum(info["diverged"] for _, _, info in main)
-    burn_accepts = [info["accepted"] for _, _, info in burn]
 
     burnin_set = _build_sample_set(target, burn)
     main_set = _build_sample_set(target, main)
@@ -194,13 +242,13 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
     report = iis.EstimateReport(
         p_hat=p_hat, c_h=c_h, variance=variance, cov_analytic=cov,
         n_used=main_set.n, thinning_lag=lag, model_calls=model.call_count,
-        accept_rate=n_accept / len(main), seed=_seed_as_int(seed),
+        accept_rate=int(main.accepted.sum()) / main.n, seed=_seed_as_int(seed),
         wall_time=time.perf_counter() - t_start, method=method,
         warnings=tuple(notes))
     artifacts = RunArtifacts(
         burnin=burnin_set, main=main_set, importance_density=q, mass=mass,
-        epsilon=eps_main, target=target, diverged=n_diverged,
-        burnin_accept_rate=(float(np.mean(burn_accepts)) if burn_accepts
+        epsilon=eps_main, target=target, diverged=int(main.diverged.sum()),
+        burnin_accept_rate=(float(np.mean(burn.accepted)) if burn.n
                             else math.nan))
     return report, artifacts
 
@@ -213,14 +261,14 @@ def _reweight(target, state, params=None):
     return replace(state, logp=logp, grad=grad, aux=(g, grad_g, log_ell))
 
 
-def _build_sample_set(target, samples):
-    if not samples:
+def _build_sample_set(target, record):
+    """The record's states as a sample set; theta and g are views of it."""
+    if not record.n:
         return None
-    theta = np.asarray([s[0] for s in samples], dtype=float)
-    g = np.asarray([s[1] for s in samples], dtype=float)
+    theta, g = record.theta, record.g
     log_ell = target.log_likelihood(g)
     log_h = log_ell - 0.5 * target.d * math.log(2.0 * math.pi) \
-        - 0.5 * (theta ** 2).sum(axis=1)
+        - 0.5 * iis.row_sq_norms(theta)
     return iis.SampleSet(theta=theta, g=g, log_ell=log_ell, log_h=log_h)
 
 

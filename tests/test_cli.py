@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rareprob import benchmark_ids, register_model
+from rareprob import benchmark_ids, harness, register_model
 from rareprob.cli import main
 
 
@@ -144,13 +144,37 @@ def test_tuning_failure_exit_code(capsys):
     ("tune", "--problem", "example1", "--candidates", "abc"),
     ("tune", "--problem", "example1", "--candidates", ""),
     ("tune", "--problem", "example1", "--candidates", "0.7,0"),
-    ("tune", "--problem", "example1", "--pilot-iters", "0")],
+    ("tune", "--problem", "example1", "--pilot-iters", "0"),
+    ("tune", "--problem", "example1", "--sigma", "5", "--candidates", "0.7",
+     "--pilot-iters", "5")],
     ids=["plot-csv-is-a-directory", "candidates-unparsable",
-         "candidates-empty", "candidate-zero", "pilot-iters-zero"])
+         "candidates-empty", "candidate-zero", "pilot-iters-zero",
+         "sigma-out-of-range"])
 def test_bad_cli_input_is_a_configuration_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "configuration error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--csv", "/"),
+    ("run", "--json", "{tmp}/missing/agg.json"),
+    ("sweep", "--param", "method.n_s", "--values", "200", "--plot-csv", "/")],
+    ids=["run-csv-is-a-directory", "run-json-dir-missing",
+         "sweep-plot-csv-is-a-directory"])
+def test_bad_output_path_fails_before_any_replication(tmp_path, monkeypatch,
+                                                      capsys, argv):
+    reps = []
+    real = harness.run_replication
+    monkeypatch.setattr(harness, "run_replication",
+                        lambda config, rep: reps.append(rep) or real(config, rep))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--problem", "example1",
+                             "--method", "sus-uniform", "--replications", "2",
+                             "--set", "method.n_s=200")
+    assert code == 2 and out == "" and reps == []
+    assert "configuration error" in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_tune_cli(capsys):

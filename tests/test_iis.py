@@ -14,7 +14,7 @@ from rareprob import (AstpaConfig, EstimateReport, GmmModel,
 from rareprob.iis import (SubspaceDensity, _distinct_rows, _em_fit,
                           _kmeans_start, _split_start, add_defensive_component,
                           deformed_subspace, estimate_thinning_lag,
-                          fit_subspace_density)
+                          fit_subspace_density, row_sq_norms, ROW_BLOCK)
 from rareprob.target import SCALE_RATIO, log_weight_omega, softplus
 
 
@@ -272,6 +272,16 @@ def test_component_log_density_overflow_is_neg_inf_without_warning():
         log_q = q.log_density(np.array([[1e200, 1e200]]))
     assert np.isneginf(comp).all()
     assert np.isneginf(log_q).all()
+
+
+@pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK + 3])
+@pytest.mark.parametrize("d", [1, 2, 100])
+def test_row_sq_norms_match_the_whole_array_sum_bit_for_bit(n, d):
+    # the golden chain hashes rest on log_h, so blocking must not move a bit;
+    # a row slice of a wider block is what the pipeline passes
+    rng = np.random.default_rng(n + d)
+    theta = (rng.standard_normal((n + 7, d)) * rng.exponential(size=(n + 7, 1)))[:n]
+    assert row_sq_norms(theta).tobytes() == (theta ** 2).sum(axis=1).tobytes()
 
 
 def test_single_gaussian_moments():

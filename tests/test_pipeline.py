@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -208,3 +209,39 @@ def test_divergent_burnin_trajectory_raises_no_warning(problem, master_seed, rep
         warnings.simplefilter("error", RuntimeWarning)
         row = run_replication(config, rep)
     assert math.isfinite(row["pf_hat"]) and row["pf_hat"] > 0.0
+
+
+def test_phase_record_growth_keeps_rows_in_order():
+    # a record that outgrows its capacity holds what a plain list of the
+    # same states holds, row for row
+    rng = np.random.default_rng(4)
+    states = [(pipeline.ChainState(rng.standard_normal(3), 0.0, None,
+                                   (float(rng.standard_normal()), None, None)),
+               {"accepted": bool(i % 3), "diverged": i % 5 == 0})
+              for i in range(11)]
+    record = pipeline.PhaseRecord(2, 3)
+    for state, info in states:
+        record.append(state, info)
+    assert record.n == 11
+    assert np.array_equal(record.theta, np.array([s.theta for s, _ in states]))
+    assert np.array_equal(record.g, [s.aux[0] for s, _ in states])
+    assert record.accepted.tolist() == [i["accepted"] for _, i in states]
+    assert record.diverged.tolist() == [i["diverged"] for _, i in states]
+    assert record.theta.shape == (11, 3) and record.theta.base is not None
+
+
+def test_main_samples_are_written_in_place():
+    # the main record is sized from the budget left and the sample set is a
+    # view of it: no restacked copy and no (n, d) squared temporary, so the
+    # traced peak of a d=100 run stays within three theta blocks
+    import scipy.linalg  # noqa: F401  (the deferred import is not the run's)
+    model = make_benchmark("example8")
+    config = AstpaConfig(sigma=0.5, tau=0.7, n_burnin=100, budget=3000)
+    tracemalloc.start()
+    try:
+        _, art = run_astpa(model, config, seed=0, method="qnp-hmcmc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert art.main.theta.base is not None
+    assert peak <= 3.0 * art.main.theta.nbytes
