@@ -8,10 +8,13 @@ value while the location walks into the failure side, so the early chain
 sees an almost-prior target.
 """
 
+import math
+
 import numpy as np
 
 from rareprob import (SmoothedTarget, compute_g_c, make_benchmark,
-                      mu_from_percentile, weight_omega)
+                      mu_from_percentile)
+from rareprob.target import log_weight_omega
 
 model = make_benchmark("example1")
 
@@ -20,7 +23,8 @@ g0, _ = model.evaluate(np.zeros(2))
 print(f"  g(0) = {g0}  ->  g_c = {compute_g_c(g0)}  (case rule)")
 mu = mu_from_percentile(0.1, 0.4)
 print(f"  location mu_g = {mu:.5f} (puts the 10th percentile on g = 0)")
-print(f"  weight Omega = {weight_omega(mu, 0.4):.5f} (PDF/CDF match at g = 0)")
+print(f"  weight Omega = {math.exp(log_weight_omega(mu, 0.4)):.5f} "
+      "(PDF/CDF match at g = 0)")
 
 target = SmoothedTarget(model, sigma=0.4, p=0.1)
 target.anneal(100)
@@ -29,9 +33,9 @@ print()
 print("Log-density along the ray theta = t * (1, 1)/sqrt(2):")
 for t in (0.0, 1.0, 2.0, 2.83, 4.0):
     theta = t * np.ones(2) / np.sqrt(2)
-    logp, _, (g, _, log_ell) = target.logp_grad(theta)
+    logp, _, (g, _) = target.logp_grad(theta)
     print(f"  t = {t:4.2f}  g = {g:+7.3f}  log h~ = {logp:8.3f}  "
-          f"likelihood = {np.exp(log_ell):.3e}")
+          f"likelihood = {np.exp(target.log_likelihood(g)):.3e}")
 print("  (the likelihood saturates once g <= 0: failure samples keep "
       "bounded weights)")
 

@@ -23,8 +23,8 @@ print(f"  normalizing const   {report.c_h:.4e}")
 print(f"  analytic cov        {report.cov_analytic:.3f} "
       f"(thinning lag {report.thinning_lag})")
 print(f"  model calls         {report.model_calls}")
-print(f"  main-phase samples  {report.n_used}")
-print(f"  acceptance          burn-in {art.burnin_accept_rate:.2f}, "
+print(f"  main-phase samples  {art.main.n}")
+print(f"  acceptance          burn-in {art.burnin.accepted.mean():.2f}, "
       f"main {report.accept_rate:.2f}")
 print(f"  step size           {art.epsilon:.3f}")
 

@@ -45,7 +45,7 @@ samples = SampleSet(theta=thetas[:, None], g=g, log_ell=log_ell(g),
 print(f"  drew {samples.n} samples; {samples.is_failure.mean():.1%} fail "
       f"(vs p_F = {exact_pf:.1e}: the target oversamples failures on purpose)")
 
-q = fit_gmm(samples, k_max=3, seed=0)
+q = fit_gmm(samples.theta, k_max=3, seed=0)
 c_h = normalizing_constant(samples, q)
 p_hat = estimate_pf(samples, c_h)
 print()

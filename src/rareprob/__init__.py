@@ -29,4 +29,4 @@ from .qnp import (BfgsState, MassState, bfgs_update, ensure_spd,
                   finalize_mass, qnp_burnin_iteration, qnp_main_iteration)
 from .sus import SusConfig, SusResult, level_threshold, subset_simulation
 from .target import (AnnealSchedule, LikelihoodParams, SmoothedTarget,
-                     compute_g_c, mu_from_percentile, weight_omega)
+                     compute_g_c, mu_from_percentile)

@@ -42,10 +42,10 @@ def _flat_from_args(args):
             raise ConfigurationError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         flat[key.strip()] = _parse_literal(raw.strip())
-    if args.csv:
-        flat["output.csv"] = args.csv
-    if args.json_out:
-        flat["output.json"] = args.json_out
+    for key, path in (("csv", args.csv), ("json", args.json_out),
+                      ("plot", args.plot_csv)):
+        if path:
+            flat[f"output.{key}"] = path
     return flat
 
 
@@ -70,8 +70,7 @@ def cmd_run(args):
 def cmd_sweep(args):
     config = parse_config(_flat_from_args(args))
     values = [_parse_literal(v) for v in args.values.split(",")]
-    plot_path = args.plot_csv or config.outputs.get("plot")
-    reports, errors = sweep(config, args.param, values, plot_path=plot_path)
+    reports, errors = sweep(config, args.param, values)
     for value, rep in reports:
         print(f"{args.param}={value}: {json.dumps(rep.summary())}")
     for err in errors:
@@ -83,9 +82,9 @@ def cmd_sweep(args):
 def cmd_oracle(args):
     spec = resolve_spec(args.problem)
     model = make_benchmark(spec)
-    est = crude_monte_carlo(model, McConfig(args.n, args.force), args.seed or 0)
+    est = crude_monte_carlo(model, McConfig(args.n, args.force), args.seed)
     out = {"problem": args.problem, "p_hat": est.p_hat, "n": est.n_samples,
-           "cov": est.cov, "seed": est.seed, "p_f_ref": spec.p_f_ref}
+           "cov": est.cov, "seed": args.seed, "p_f_ref": spec.p_f_ref}
     print(json.dumps(out, indent=2))
     return 0
 
@@ -145,7 +144,7 @@ def build_parser():
                            help="run one replicated experiment")
     run_p.add_argument("--csv", help="per-replication CSV path")
     run_p.add_argument("--json", dest="json_out", help="aggregate JSON path")
-    run_p.set_defaults(func=cmd_run)
+    run_p.set_defaults(func=cmd_run, plot_csv=None)
 
     sweep_p = sub.add_parser("sweep", parents=[experiment],
                              help="grid over one parameter")
@@ -159,7 +158,7 @@ def build_parser():
     oracle_p = sub.add_parser("oracle", help="crude Monte Carlo reference")
     oracle_p.add_argument("--problem", required=True)
     oracle_p.add_argument("--n", type=int, required=True)
-    oracle_p.add_argument("--seed", type=int)
+    oracle_p.add_argument("--seed", type=int, default=0)
     oracle_p.add_argument("--force", action="store_true",
                           help="allow n too small to resolve the reference")
     oracle_p.set_defaults(func=cmd_oracle)

@@ -49,8 +49,11 @@ class RunConfig:
         if self.method not in METHODS:
             raise ConfigurationError(
                 f"unknown method {self.method!r}; one of {METHODS}")
-        if self.replications < 0:
-            raise ConfigurationError("replications must be >= 0")
+        for name, low in (("replications", 0), ("master_seed", 0), ("n_jobs", 1)):
+            value = getattr(self, name)          # an int, not a bool
+            if type(value) is not int or value < low:
+                raise ConfigurationError(
+                    f"{name} must be an integer >= {low}, got {value!r}")
         for key, path in self.outputs.items():
             if key not in _OUTPUT_KEYS:
                 raise ConfigurationError(f"unknown output key {key!r}")
@@ -131,9 +134,9 @@ def parse_config(flat):
     return RunConfig(
         problem=top["problem"], method=top["method"],
         problem_params=problem_params, method_params=method_params,
-        replications=int(top.get("replications", 100)),
-        master_seed=int(top.get("master_seed", 0)),
-        outputs=outputs, n_jobs=int(top.get("n_jobs", 1)))
+        replications=top.get("replications", 100),
+        master_seed=top.get("master_seed", 0),
+        outputs=outputs, n_jobs=top.get("n_jobs", 1))
 
 
 def replication_seed(master_seed, rep):
@@ -242,8 +245,15 @@ def _replication_worker(args):
         return rep, None, f"{type(exc).__name__}: {exc}"
 
 
+def _refuse_unwritten_outputs(config, written, command):
+    """An output key the command does not write is an error, never ignored."""
+    if unwritten := sorted(config.outputs.keys() - written):
+        raise ConfigurationError(f"{command} does not write output.{unwritten[0]}")
+
+
 def run_experiment(config):
     """Run all replications and aggregate; deterministic given the config."""
+    _refuse_unwritten_outputs(config, {"csv", "json"}, "run")
     jobs = [(config, rep) for rep in range(config.replications)]
     if config.n_jobs > 1 and len(jobs) > 1:
         # deferred: importing the process pool costs a serial run ~20 ms
@@ -314,22 +324,21 @@ def _csv_cell(value):
     return value
 
 
-def sweep(config, param, values, plot_path=None):
+def sweep(config, param, values):
     """One experiment per grid value of a problem or method parameter.
 
     ``param`` uses the dotted config form (e.g. ``problem.beta``).  A failing
-    grid point is recorded and the sweep continues.
+    grid point is recorded and the sweep continues.  The plot-data CSV goes
+    to ``output.plot`` when the config sets it.
     """
     if not values:
         raise ConfigurationError("sweep grid is empty")
-    if plot_path:
-        _check_output_path("plot CSV", plot_path)
+    _refuse_unwritten_outputs(config, {"plot"}, "sweep")
+    plot_path = config.outputs.get("plot")
     reports = []
     errors = []
     for value in values:
         flat = config.to_dict()
-        flat.pop("output.csv", None)
-        flat.pop("output.json", None)
         flat.pop("output.plot", None)
         flat[param] = value
         try:

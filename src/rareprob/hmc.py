@@ -45,7 +45,7 @@ class ChainState:
     theta: np.ndarray
     logp: float
     grad: np.ndarray
-    aux: tuple | None = None      # (g, grad_g, log_ell) for smoothed targets
+    aux: tuple | None = None      # (g, grad_g) for smoothed targets
 
 
 def trajectory_discretization(tau_m, eps):

@@ -72,12 +72,8 @@ def estimate_thinning_lag(series, max_lag):
 
 @dataclass
 class SampleSet:
-    """Column-oriented store of chain samples with cached model quantities.
-
-    ``log_ell`` and ``log_h`` are always recorded under the final target
-    parameters, also for burn-in-phase samples, so downstream estimators can
-    treat records uniformly.
-    """
+    """Column-oriented store of chain samples with cached model quantities,
+    ``log_ell`` and ``log_h`` under the final target parameters."""
 
     theta: np.ndarray      # (n, d)
     g: np.ndarray          # (n,)
@@ -114,13 +110,9 @@ class EstimateReport:
     c_h: float
     variance: float | None
     cov_analytic: float | None
-    n_used: int
     thinning_lag: int
     model_calls: int
     accept_rate: float
-    seed: int
-    wall_time: float
-    method: str = ""
     warnings: tuple = ()
 
 
@@ -218,10 +210,9 @@ def _moments(theta):
     return mean, diff.T @ diff / max(theta.shape[0] - 1, 1)
 
 
-def fit_single_gaussian(samples):
+def fit_single_gaussian(theta):
     """Moment-matched single Gaussian, the fallback when too few samples
     support a mixture."""
-    theta = samples.theta if isinstance(samples, SampleSet) else np.atleast_2d(samples)
     n, d = theta.shape
     if n < d + 2:
         raise InvalidInputError(f"need at least d+2={d + 2} samples, got {n}")
@@ -287,7 +278,7 @@ def deformed_subspace(theta):
     return scipy.linalg.orth(np.stack(cols, axis=1))
 
 
-def fit_subspace_density(samples, seed=0):
+def fit_subspace_density(theta, seed=0):
     """The importance density Q: a mixture on B' theta times the exact prior
     on the complement of B, blended with a wide defensive component.
 
@@ -296,7 +287,6 @@ def fit_subspace_density(samples, seed=0):
     deformed subspace and K <= 3.  With fewer than 10 samples per basis
     dimension the mixture is one Gaussian.
     """
-    theta = samples.theta if isinstance(samples, SampleSet) else np.atleast_2d(samples)
     n, d = theta.shape
     if n < d + 2:
         raise InvalidInputError(f"need at least d+2={d + 2} samples, got {n}")
@@ -431,7 +421,7 @@ def _em_fit(rows, counts, model, max_iter=60, tol=1e-5):
     return model, loglik
 
 
-def fit_gmm(samples, k_max=5, seed=0):
+def fit_gmm(theta, k_max=5, seed=0):
     """EM mixture fit with the component count selected by BIC.
 
     The sweep over K is warm-started.  K = 1 starts from the sample moments.
@@ -450,7 +440,6 @@ def fit_gmm(samples, k_max=5, seed=0):
     floor of 1e-6 of the sample trace, a sharp spike rather than a failed
     start.  Deterministic given the seed.
     """
-    theta = samples.theta if isinstance(samples, SampleSet) else np.atleast_2d(samples)
     n, d = theta.shape
     if n < 10 * d:
         raise InvalidInputError(f"need at least 10*d={10 * d} samples, got {n}")
@@ -555,7 +544,7 @@ def cov_analytic(samples, c_h, p_hat, lag):
     return variance, math.sqrt(variance) / p_hat
 
 
-def add_defensive_component(q, samples):
+def add_defensive_component(q, theta):
     """Blend a wide moment-matched Gaussian into Q with small weight.
 
     A fitted mixture can assign near-zero density to thinly visited stretches
@@ -563,7 +552,6 @@ def add_defensive_component(q, samples):
     constant.  The wide component bounds those ratios at the cost of an
     O(DEFENSIVE_WEIGHT) perturbation of Q where the fit is good.
     """
-    theta = samples.theta if isinstance(samples, SampleSet) else np.atleast_2d(samples)
     mean, cov = _moments(theta)
     cov = _regularize(DEFENSIVE_INFLATE * cov)
     weights = np.append((1.0 - DEFENSIVE_WEIGHT) * q.weights, DEFENSIVE_WEIGHT)

@@ -132,7 +132,6 @@ class McEstimate:
     p_hat: float
     n_samples: int
     cov: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ def crude_monte_carlo(model, config, seed):
         done += m
     p_hat = n_fail / n
     cov = math.sqrt((1.0 - p_hat) / (n * p_hat)) if p_hat > 0 else math.inf
-    return McEstimate(p_hat=p_hat, n_samples=n, cov=cov, seed=int(seed))
+    return McEstimate(p_hat=p_hat, n_samples=n, cov=cov)
 
 
 def finite_difference_gradient(model, theta):

@@ -10,7 +10,6 @@ adjustment, which by construction performs no further model calls.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,16 +67,16 @@ class AstpaConfig:
 
 @dataclass
 class RunArtifacts:
-    """Everything a run produced beyond the report (for tests and demos)."""
+    """Everything a run produced beyond the report (for tests and demos);
+    ``burnin`` is the burn-in phase's record."""
 
-    burnin: iis.SampleSet | None
+    burnin: PhaseRecord
     main: iis.SampleSet
     importance_density: object
     mass: MassState | None
     epsilon: float
     target: SmoothedTarget
     diverged: int
-    burnin_accept_rate: float = math.nan
 
 
 class PhaseRecord:
@@ -136,7 +135,6 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
     """Run one full estimation; returns (EstimateReport, RunArtifacts)."""
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; one of {METHODS}")
-    t_start = time.perf_counter()
     rng = np.random.default_rng(seed)
     d = model.dim
     notes = []
@@ -216,14 +214,18 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
             f"budget {config.budget} exhausted before the main phase "
             f"(burn-in used {model.call_count} calls)")
 
-    burnin_set = _build_sample_set(target, burn)
-    main_set = _build_sample_set(target, main)
+    # the main samples under the final parameters; theta and g are views
+    log_ell = target.log_likelihood(main.g)
+    log_h = log_ell - 0.5 * d * math.log(2.0 * math.pi) \
+        - 0.5 * iis.row_sq_norms(main.theta)
+    main_set = iis.SampleSet(theta=main.theta, g=main.g, log_ell=log_ell,
+                             log_h=log_h)
 
     # ---- post-processing: no model calls from here on ----------------------
     calls_before = model.call_count
     gmm_seed = int(rng.integers(2 ** 63))
     try:
-        q = iis.fit_subspace_density(main_set, seed=gmm_seed)
+        q = iis.fit_subspace_density(main_set.theta, seed=gmm_seed)
     except InvalidInputError as exc:
         raise EstimationError(
             f"{main_set.n} main samples cannot support a {d}-dim fit") from exc
@@ -241,39 +243,19 @@ def run_astpa(model, config, seed, method="qnp-hmcmc"):
 
     report = iis.EstimateReport(
         p_hat=p_hat, c_h=c_h, variance=variance, cov_analytic=cov,
-        n_used=main_set.n, thinning_lag=lag, model_calls=model.call_count,
-        accept_rate=int(main.accepted.sum()) / main.n, seed=_seed_as_int(seed),
-        wall_time=time.perf_counter() - t_start, method=method,
-        warnings=tuple(notes))
+        thinning_lag=lag, model_calls=model.call_count,
+        accept_rate=int(main.accepted.sum()) / main.n, warnings=tuple(notes))
     artifacts = RunArtifacts(
-        burnin=burnin_set, main=main_set, importance_density=q, mass=mass,
-        epsilon=eps_main, target=target, diverged=int(main.diverged.sum()),
-        burnin_accept_rate=(float(np.mean(burn.accepted)) if burn.n
-                            else math.nan))
+        burnin=burn, main=main_set, importance_density=q, mass=mass,
+        epsilon=eps_main, target=target, diverged=int(main.diverged.sum()))
     return report, artifacts
 
 
 def _reweight(target, state, params=None):
     """The state re-expressed under other likelihood parameters (no model
     call: the cached g and grad g are reused)."""
-    g, grad_g = state.aux[0], state.aux[1]
-    logp, grad, log_ell = target.view(state.theta, g, grad_g, params)
-    return replace(state, logp=logp, grad=grad, aux=(g, grad_g, log_ell))
+    g, grad_g = state.aux
+    logp, grad, _ = target.view(state.theta, g, grad_g, params)
+    return replace(state, logp=logp, grad=grad, aux=(g, grad_g))
 
 
-def _build_sample_set(target, record):
-    """The record's states as a sample set; theta and g are views of it."""
-    if not record.n:
-        return None
-    theta, g = record.theta, record.g
-    log_ell = target.log_likelihood(g)
-    log_h = log_ell - 0.5 * target.d * math.log(2.0 * math.pi) \
-        - 0.5 * iis.row_sq_norms(theta)
-    return iis.SampleSet(theta=theta, g=g, log_ell=log_ell, log_h=log_h)
-
-
-def _seed_as_int(seed):
-    try:
-        return int(seed)
-    except (TypeError, ValueError):
-        return -1

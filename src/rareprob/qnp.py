@@ -196,20 +196,19 @@ def qnp_main_iteration(state, logp_grad, eps, tau, rng, mass):
     return hmc_transition(state, logp_grad, eps_eff, n_steps, rng, mass=mass)
 
 
-def finalize_mass(bfgs, state, logp_grad, eps, tau, rng, record=None):
+def finalize_mass(bfgs, state, logp_grad, eps, tau, rng, record):
     """Freeze the burn-in W into a mass state.
 
     If W is not positive definite, keep running burn-in iterations (up to
     ``SPD_EXTRA_CAP``) until an accepted sample leaves behind an SPD W; else
-    repair it by a diagonal shift.  Returns (mass, state) since extra
-    iterations may move the chain.
+    repair it by a diagonal shift; each extra iteration goes to ``record``.
+    Returns (mass, state) since extra iterations may move the chain.
     """
     extra = 0
     while not (spd := is_spd(bfgs.w)) and extra < SPD_EXTRA_CAP:
         state, info = qnp_burnin_iteration(state, logp_grad, eps, tau, rng, bfgs)
         extra += 1
-        if record is not None:
-            record(state, info)
+        record(state, info)
     if spd:
         w_pd, delta = bfgs.w, 0.0
     else:

@@ -75,16 +75,9 @@ def mu_from_percentile(p, sigma):
 
 
 def log_weight_omega(mu_g, sigma):
-    """ln Omega with the exponential evaluated in softplus form."""
+    """ln Omega (logistic PDF and CDF matched at g = 0), in softplus form."""
     c = SCALE_RATIO * sigma
     return softplus(mu_g / c) - math.log(4.0 * c)
-
-
-def weight_omega(mu_g, sigma):
-    """Weight matching the logistic PDF and CDF at g = 0 (finite by clamping)."""
-    if sigma <= 0:
-        raise InvalidInputError(f"sigma must be positive, got {sigma}")
-    return math.exp(min(log_weight_omega(mu_g, sigma), _EXP_CLAMP))
 
 
 # the first annealed target: unit dispersion, location just above zero
@@ -226,8 +219,8 @@ class SmoothedTarget:
     # -- the model-calling entry point ---------------------------------------
 
     def logp_grad(self, theta, params=None):
-        """(logp, grad, (g, grad_g, log_ell)) with exactly one model call."""
+        """(logp, grad, (g, grad_g)) with exactly one model call."""
         theta = np.asarray(theta, dtype=float)
         g, grad_g = self.model.evaluate(theta)
-        logp, grad, log_ell = self.view(theta, g, grad_g, params)
-        return logp, grad, (g, grad_g, log_ell)
+        logp, grad, _ = self.view(theta, g, grad_g, params)
+        return logp, grad, (g, grad_g)

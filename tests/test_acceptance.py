@@ -208,7 +208,7 @@ def test_criterion_7_property_suites():
     log_ell = log_weight_omega(mu, 0.4) - softplus((g + mu) / c)
     log_h = log_ell - 0.5 * math.log(2 * math.pi) - 0.5 * thetas ** 2
     ss = SampleSet(theta=thetas[:, None], g=g, log_ell=log_ell, log_h=log_h)
-    q = fit_gmm(ss, k_max=2, seed=0)
+    q = fit_gmm(ss.theta, k_max=2, seed=0)
     p1 = estimate_pf(ss, normalizing_constant(ss, q))
     ss2 = SampleSet(theta=thetas[:, None], g=g, log_ell=log_ell + math.log(7.0),
                     log_h=log_h + math.log(7.0))

@@ -146,10 +146,18 @@ def test_tuning_failure_exit_code(capsys):
     ("tune", "--problem", "example1", "--candidates", "0.7,0"),
     ("tune", "--problem", "example1", "--pilot-iters", "0"),
     ("tune", "--problem", "example1", "--sigma", "5", "--candidates", "0.7",
-     "--pilot-iters", "5")],
+     "--pilot-iters", "5"),
+    *(("run", "--problem", "example1", "--method", "qnp-hmcmc",
+       "--replications", "2", *extra)
+      for extra in (("--set", "replications=abc"), ("--set", "n_jobs=abc"),
+                    ("--set", "replications=2.7"),
+                    ("--set", "replications=true"), ("--seed", "-1"),
+                    ("--set", "n_jobs=0")))],
     ids=["plot-csv-is-a-directory", "candidates-unparsable",
          "candidates-empty", "candidate-zero", "pilot-iters-zero",
-         "sigma-out-of-range"])
+         "sigma-out-of-range", "replications-not-a-number",
+         "n-jobs-not-a-number", "replications-not-an-integer",
+         "replications-a-bool", "seed-negative", "n-jobs-zero"])
 def test_bad_cli_input_is_a_configuration_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -159,9 +167,14 @@ def test_bad_cli_input_is_a_configuration_error(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("run", "--csv", "/"),
     ("run", "--json", "{tmp}/missing/agg.json"),
-    ("sweep", "--param", "method.n_s", "--values", "200", "--plot-csv", "/")],
+    ("sweep", "--param", "method.n_s", "--values", "200", "--plot-csv", "/"),
+    # each command writes only its own output keys and refuses the others
+    ("sweep", "--param", "method.n_s", "--values", "200",
+     "--set", "output.csv={tmp}/rows.csv"),
+    ("run", "--set", "output.plot={tmp}/plot.csv")],
     ids=["run-csv-is-a-directory", "run-json-dir-missing",
-         "sweep-plot-csv-is-a-directory"])
+         "sweep-plot-csv-is-a-directory", "sweep-refuses-output-csv",
+         "run-refuses-output-plot"])
 def test_bad_output_path_fails_before_any_replication(tmp_path, monkeypatch,
                                                       capsys, argv):
     reps = []

@@ -219,13 +219,13 @@ def test_sweep_singleton_matches_run(tmp_path):
 
 
 def test_sweep_plot_csv_and_error_isolation(tmp_path):
+    plot = tmp_path / "plot.csv"
     config = parse_config({
         "problem": "example6", "method": "crude-mc", "method.n": 20_000,
         "method.force": True, "replications": 1, "master_seed": 3,
+        "output.plot": str(plot),
     })
-    plot = tmp_path / "plot.csv"
-    reports, errors = sweep(config, "problem.beta", [1.0, 2.0, "bogus"],
-                            plot_path=str(plot))
+    reports, errors = sweep(config, "problem.beta", [1.0, 2.0, "bogus"])
     assert len(reports) == 2
     assert len(errors) == 1 and errors[0]["value"] == "bogus"
     with open(plot) as fh:

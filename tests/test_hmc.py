@@ -315,7 +315,7 @@ def test_mean_acceptance_band_on_benchmark1():
         model = make_benchmark("example1")
         cfg = AstpaConfig(sigma=0.4, tau=0.7, n_burnin=100, budget=1600)
         report, art = run_astpa(model, cfg, seed=600 + seed, method="hmcmc")
-        adaptive.append(art.burnin_accept_rate)
+        adaptive.append(art.burnin.accepted.mean())
         main.append(report.accept_rate)
     assert 0.55 <= float(np.mean(adaptive)) <= 0.75
     assert 0.55 <= float(np.mean(main)) <= 0.85

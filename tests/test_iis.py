@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.linalg import solve_triangular
 
-from rareprob import (AstpaConfig, EstimateReport, GmmModel,
+from rareprob import (AstpaConfig, GmmModel,
                       InvalidInputError, NumericalError, SampleSet,
                       choose_thinning, cov_analytic, estimate_pf, fit_gmm,
                       fit_single_gaussian, make_benchmark,
@@ -143,7 +143,7 @@ def test_fit_gmm_pinned_k_and_normalizing_constant(make, k, c_h):
     n = theta.shape[0]
     samples = build_sample_set(theta, np.ones(n), np.zeros(n),
                                -0.5 * (theta ** 2).sum(axis=1))
-    q = fit_gmm(samples, k_max=5, seed=7)
+    q = fit_gmm(samples.theta, k_max=5, seed=7)
     assert q.n_components == k
     assert normalizing_constant(samples, q) == pytest.approx(c_h, rel=1e-9)
 
@@ -153,7 +153,7 @@ def test_fit_q_pinned_on_example2_run():
     defaults = dict(spec.astpa_defaults)
     config = AstpaConfig(sigma=defaults.pop("sigma"), **defaults)
     _, art = run_astpa(make_benchmark(spec), config, seed=3)
-    q = fit_subspace_density(art.main, seed=5)
+    q = fit_subspace_density(art.main.theta, seed=5)
     assert q.n_components == 6          # five fitted plus the defensive one
     c_h = normalizing_constant(art.main, q)
     assert c_h == pytest.approx(0.0001489593083049333, rel=1e-9)
@@ -314,8 +314,7 @@ def test_defensive_component_bounds_ratios():
     rng = np.random.default_rng(10)
     theta = rng.standard_normal((500, 2))
     q = fit_gmm(theta, k_max=2, seed=0)
-    q_def = add_defensive_component(q, build_sample_set(
-        theta, np.zeros(500), np.zeros(500), np.zeros(500)))
+    q_def = add_defensive_component(q, theta)
     assert q_def.n_components == q.n_components + 1
     assert abs(q_def.weights.sum() - 1.0) < 1e-12
     far = np.array([[5.0, -5.0]])
@@ -328,8 +327,7 @@ def test_subspace_density_matches_full_gaussian():
     d, n = 30, 4000
     theta = rng.standard_normal((n, d))
     theta[:, 0] = 0.3 * theta[:, 0] + 2.5
-    q = fit_subspace_density(build_sample_set(
-        theta, np.zeros(n), np.zeros(n), np.zeros(n)), seed=0)
+    q = fit_subspace_density(theta, seed=0)
     # compare the fitted mixture without its defensive (last) component
     mix = q.subspace_model
     w = mix.weights[:-1]
@@ -398,7 +396,7 @@ def test_normalizing_constant_quadrature_oracle():
     thetas = np.interp(u, cdf, x)
     log_ell_s, log_h_s = logistic_weighted_normal(g_fn, sigma, p, thetas)
     samples = build_sample_set(thetas, g_fn(thetas), log_ell_s, log_h_s)
-    q = fit_gmm(samples, k_max=3, seed=3)
+    q = fit_gmm(samples.theta, k_max=3, seed=3)
     c_est = normalizing_constant(samples, q)
     assert c_est == pytest.approx(c_true, rel=0.01)
 
@@ -453,7 +451,7 @@ def test_likelihood_scale_invariance():
     log_ell, log_h = logistic_weighted_normal(lambda t: 1.0 - t, 0.4, 0.1,
                                               thetas)
     samples = build_sample_set(thetas, g, log_ell, log_h)
-    q = fit_gmm(samples, k_max=2, seed=4)
+    q = fit_gmm(samples.theta, k_max=2, seed=4)
     c1 = normalizing_constant(samples, q)
     p1 = estimate_pf(samples, c1)
     k = 173.25
@@ -499,8 +497,9 @@ def test_cov_analytic_zero_p_hat():
 
 
 def test_estimate_report_invariant():
-    rep = EstimateReport(p_hat=2e-6, c_h=0.1, variance=1e-13,
-                         cov_analytic=math.sqrt(1e-13) / 2e-6, n_used=100,
-                         thinning_lag=5, model_calls=600, accept_rate=0.7,
-                         seed=1, wall_time=0.1)
-    assert rep.cov_analytic == pytest.approx(math.sqrt(rep.variance) / rep.p_hat)
+    # the reported CoV of a real run is the reported standard error over p_hat
+    spec = resolve_spec("example1")
+    report, _ = run_astpa(make_benchmark(spec), AstpaConfig(**spec.astpa_defaults),
+                          seed=4)
+    assert report.p_hat > 0.0
+    assert report.cov_analytic == math.sqrt(report.variance) / report.p_hat

@@ -46,15 +46,17 @@ def test_sample_records_consistent_with_final_parameters():
     model = make_benchmark("example1")
     report, art = run_astpa(model, small_config(), seed=3)
     target = art.target
-    for sample_set in (art.main, art.burnin):
-        g = np.array([model._func(th)[0] for th in sample_set.theta])
-        np.testing.assert_allclose(sample_set.g, g, rtol=1e-12)
-        log_ell = target.log_likelihood(g)
-        np.testing.assert_allclose(sample_set.log_ell, log_ell, rtol=1e-12)
-        log_h = log_ell - math.log(2 * math.pi) - 0.5 * (sample_set.theta ** 2).sum(axis=1)
-        np.testing.assert_allclose(sample_set.log_h, log_h, rtol=1e-12,
-                                   atol=1e-12)
-        np.testing.assert_array_equal(sample_set.is_failure, g <= 0.0)
+    main = art.main
+    g = np.array([model._func(th)[0] for th in main.theta])
+    np.testing.assert_allclose(main.g, g, rtol=1e-12)
+    log_ell = target.log_likelihood(g)
+    np.testing.assert_allclose(main.log_ell, log_ell, rtol=1e-12)
+    log_h = log_ell - math.log(2 * math.pi) - 0.5 * (main.theta ** 2).sum(axis=1)
+    np.testing.assert_allclose(main.log_h, log_h, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(main.is_failure, g <= 0.0)
+    # the burn-in record keeps each state's model response
+    g_burnin = np.array([model._func(th)[0] for th in art.burnin.theta])
+    np.testing.assert_allclose(art.burnin.g, g_burnin, rtol=1e-12)
 
 
 @pytest.mark.parametrize("method", ["hmcmc", "qnp-hmcmc"])
@@ -71,7 +73,8 @@ def test_budget_overshoot_is_bounded(method):
 def test_burnin_excluded_from_estimation():
     model = make_benchmark("example1")
     report, art = run_astpa(model, small_config(), seed=5)
-    assert report.n_used == art.main.n
+    # the estimate is the main samples' alone, bit for bit
+    assert estimate_pf(art.main, report.c_h) == report.p_hat
     # burn-in count: annealed iterations plus the adaptation epilogue
     assert art.burnin.n >= 50
 
@@ -166,9 +169,10 @@ def test_q_route_independence_on_benchmark1():
     report, art = run_astpa(model, cfg, seed=11)
     assert art.main.n >= 4000
     from rareprob.iis import add_defensive_component
-    q_mix = add_defensive_component(fit_gmm(art.main, k_max=5, seed=2),
-                                    art.main)
-    q_one = add_defensive_component(fit_single_gaussian(art.main), art.main)
+    q_mix = add_defensive_component(fit_gmm(art.main.theta, k_max=5, seed=2),
+                                    art.main.theta)
+    q_one = add_defensive_component(fit_single_gaussian(art.main.theta),
+                                    art.main.theta)
     estimates = []
     for q in (q_mix, q_one):
         c_h = normalizing_constant(art.main, q)

@@ -236,7 +236,7 @@ def test_finalize_fast_path_and_scalar_matrix():
     bfgs = BfgsState(2)
     bfgs.w = 2.0 * np.eye(2)
     mass, _ = finalize_mass(bfgs, state, target.logp_grad, 0.3, 0.8,
-                            np.random.default_rng(0))
+                            np.random.default_rng(0), record=lambda st, info: None)
     assert mass.extra_iterations == 0
     np.testing.assert_allclose(mass.m, 0.5 * np.eye(2), atol=1e-14)
     np.testing.assert_allclose(mass.chol_m, math.sqrt(0.5) * np.eye(2),
@@ -250,7 +250,7 @@ def test_finalize_runs_extra_iterations_until_spd():
     bfgs = BfgsState(2)
     bfgs.w = np.diag([1.0, -0.4])    # not SPD: needs extra adaptation
     mass, _ = finalize_mass(bfgs, state, target.logp_grad, 0.3, 0.7,
-                            np.random.default_rng(8))
+                            np.random.default_rng(8), record=lambda st, info: None)
     assert is_spd(mass.w)
     assert mass.extra_iterations > 0 or mass.delta > 0
 

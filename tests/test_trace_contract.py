@@ -4,10 +4,12 @@
 names and relies on the pipeline resolving them at call time.  Renaming one
 of them breaks the traced run with a KeyError; binding a step function early
 (a module-level table, a default argument) silently drops its spans.  These
-tests load the span module as it is and check both halves of that contract.
+tests load the span module as it is and check both halves of that contract,
+and that the per-layer metrics can be read from what a replication returns.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 
 import rareprob
 from rareprob import AstpaConfig, make_benchmark, run_astpa
+from rareprob.harness import RunConfig, run_replication
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -74,3 +77,25 @@ def test_traced_run_records_every_phase(spans):
         if arrays["name"][arrays["parent"][sid]] in burnin_parents)
     assert 0 < counts.get("qnp.bfgs_update", 0) <= burnin_steps
     assert 0 < counts.get("qnp.bfgs.restore", 0) <= n_burnin + extra
+
+
+@pytest.mark.parametrize("problem,method,counted", [
+    ("example1", "qnp-hmcmc", ("pipeline.main.samples", "iis.thinning_lag",
+                               "iis.chosen_k", "qnp.bfgs_update.calls")),
+    ("example9", "sus-uniform", ("sus.levels", "sus.calls_per_level"))])
+def test_layer_metrics_of_a_traced_replication(spans, problem, method, counted):
+    # one harness replication under a "replication" root span, as the traced
+    # bench runs it: every per-layer metric is a finite number, the run-level
+    # counts read from the report and artifacts are there, and no model call
+    # happens inside the IIS stage
+    config = RunConfig(problem, method, master_seed=0)
+    recorder = spans.Recorder()
+    recorder.current_rep = 0
+    with spans.installed(recorder, rareprob), recorder.span("replication"):
+        row = run_replication(config, 0)
+    wall = row["wall_ms"] * 1e-3
+    metrics, violations = spans.layer_metrics(
+        recorder, config.spec.astpa_defaults.get("budget"), wall, wall)
+    assert violations == 0
+    assert [k for k, v in metrics.items() if not math.isfinite(v)] == []
+    assert all(metrics[k] > 0 for k in counted)
