@@ -79,7 +79,14 @@ def cmd_sweep(args):
     return 0
 
 
+def _check_seed(seed):
+    # run and sweep check master_seed in RunConfig
+    if seed is not None and seed < 0:
+        raise ConfigurationError(f"--seed must be an integer >= 0, got {seed}")
+
+
 def cmd_oracle(args):
+    _check_seed(args.seed)
     spec = resolve_spec(args.problem)
     model = make_benchmark(spec)
     est = crude_monte_carlo(model, McConfig(args.n, args.force), args.seed)
@@ -90,6 +97,7 @@ def cmd_oracle(args):
 
 
 def cmd_tune(args):
+    _check_seed(args.seed)
     spec = resolve_spec(args.problem)
     model = make_benchmark(spec)
     sigma = args.sigma if args.sigma is not None \

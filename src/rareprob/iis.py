@@ -125,8 +125,9 @@ class GmmModel:
     queries.
 
     The covariance stack is factorised in one batched call and each
-    component keeps ``L_k^{-1}``, so its squared Mahalanobis distances are
-    one matrix product ``L_k^{-1} (theta - mu_k)^T`` and a column norm.
+    component keeps ``L_k^{-1}``, so the squared Mahalanobis distances of
+    every component are one stacked matrix product ``L_k^{-1} (theta -
+    mu_k)^T`` and one column norm.
     """
 
     def __init__(self, weights, means, covs):
@@ -148,24 +149,21 @@ class GmmModel:
     def n_components(self):
         return self.weights.size
 
-    def component_log_density(self, thetas):
-        """(K, n) matrix of per-component log densities.
+    def component_log_density(self, theta_t):
+        """(K, n) matrix of per-component log densities at the n columns of
+        the contiguous (d, n) array ``theta_t``, the transposed sample rows:
+        on it the centring, the product and the norm all run along the long
+        sample axis.
 
         A squared distance that overflows gives a log density of -inf.
         """
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        # on the contiguous (d, n) transpose the centring, the product and
-        # the norm all run along the long sample axis
-        theta_t = np.ascontiguousarray(thetas.T)
-        out = np.empty((self.n_components, theta_t.shape[1]))
         with np.errstate(over="ignore"):
-            for k in range(self.n_components):
-                sol = self._inv_chol[k] @ (theta_t - self.means[k][:, None])
-                out[k] = self._log_norms[k] - 0.5 * np.einsum("dn,dn->n", sol, sol)
-        return out
+            sol = np.matmul(self._inv_chol, theta_t - self.means[:, :, None])
+            return self._log_norms[:, None] - 0.5 * np.einsum("kdn,kdn->kn", sol, sol)
 
     def log_density(self, thetas):
-        comp = self.component_log_density(thetas)
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        comp = self.component_log_density(np.ascontiguousarray(thetas.T))
         return _logsumexp_components(comp + np.log(self.weights)[:, None])
 
     def n_free_params(self):
@@ -315,25 +313,39 @@ def _distinct_rows(theta):
     return theta[starts], np.diff(np.append(starts, theta.shape[0]))
 
 
-def _collapse_floor(rows, counts):
+@dataclass(frozen=True)
+class _FitRows:
+    """The distinct states of one mixture fit with their counts, and what
+    every EM start of the fit shares, computed once."""
+
+    rows: np.ndarray        # (m, d) distinct states
+    counts: np.ndarray      # (m,) integer counts
+    rows_t: np.ndarray      # contiguous (d, m) transpose of rows
+    overall: np.ndarray     # regularised count-weighted sample covariance
     # floor on the trace that a component's jitter is scaled by: 1e-6 of the
     # sample trace.  A component that collapses onto one heavily repeated
     # state (a stuck chain) then stays a sharp but non-singular spike,
     # independent of rounding; every other component keeps its own jitter
-    d = rows.shape[1]
-    return 1e-6 * float(np.trace(np.cov(rows.T, fweights=counts).reshape(d, d)))
+    min_trace: float
+
+    @classmethod
+    def of(cls, rows, counts):
+        d = rows.shape[1]
+        cov = np.cov(rows.T, fweights=counts).reshape(d, d)
+        return cls(rows, counts, np.ascontiguousarray(rows.T), _regularize(cov),
+                   1e-6 * float(np.trace(cov)))
 
 
-def _kmeans_start(rows, counts, k, rng, n_rounds=5):
+def _kmeans_start(fit, k, rng, n_rounds=5):
     """EM start from count-weighted k-means++ seeding plus a few Lloyd
     rounds: the weights, means and covariances of the hard assignment.
 
     Seeding draws a row with probability proportional to count times squared
     distance.  K = 1 needs no seeding and starts from the sample moments.
     """
+    rows, counts, rows_t = fit.rows, fit.counts, fit.rows_t
     m, d = rows.shape
     n = counts.sum()
-    rows_t = np.ascontiguousarray(rows.T)
 
     def sq_dists(c):
         return ((rows_t - c[:, None]) ** 2).sum(axis=0)
@@ -358,18 +370,16 @@ def _kmeans_start(rows, counts, k, rng, n_rounds=5):
 
     weights = np.full(k, 1.0 / k)
     covs = np.empty((k, d, d))
-    overall = _regularize(np.cov(rows.T, fweights=counts).reshape(d, d))
-    min_trace = _collapse_floor(rows, counts)
     for j in range(k):
         mask = labels == j
         n_j = counts[mask].sum()
         if n_j > d:
             covs[j] = _regularize(
                 np.cov(rows[mask].T, fweights=counts[mask]).reshape(d, d),
-                min_trace=min_trace)
+                min_trace=fit.min_trace)
             weights[j] = n_j / n
         else:
-            covs[j] = overall.copy()
+            covs[j] = fit.overall
     return GmmModel(weights / weights.sum(), centers, covs)
 
 
@@ -388,19 +398,19 @@ def _split_start(model):
     return GmmModel(weights, means, covs)
 
 
-def _em_fit(rows, counts, model, max_iter=60, tol=1e-5):
-    """EM from the start ``model`` on rows weighted by integer counts.
+def _em_fit(fit, model, max_iter=60, tol=1e-5):
+    """EM from the start ``model`` on the fit's rows weighted by their
+    integer counts.
 
     Same likelihood and fixed point as EM on the rows repeated by their
     counts.  Returns (model, loglik) or raises NumericalError.
     """
+    rows, counts, rows_t = fit.rows, fit.counts, fit.rows_t
     n = counts.sum()
     k, d = model.means.shape
-    min_trace = _collapse_floor(rows, counts)
     loglik = -math.inf
-    rows_t = np.ascontiguousarray(rows.T)
     for _ in range(max_iter):
-        comp = model.component_log_density(rows) + np.log(model.weights)[:, None]
+        comp = model.component_log_density(rows_t) + np.log(model.weights)[:, None]
         norm = _logsumexp_components(comp)
         loglik_new = float(counts @ norm)
         resp = np.exp(comp - norm) * counts           # (k, m), count-weighted
@@ -413,7 +423,7 @@ def _em_fit(rows, counts, model, max_iter=60, tol=1e-5):
         for j in range(k):
             diff_t = rows_t - means[j][:, None]
             covs[j] = (diff_t * resp[j]) @ diff_t.T / nk[j]
-        model = GmmModel(weights, means, _regularize(covs, min_trace=min_trace))
+        model = GmmModel(weights, means, _regularize(covs, min_trace=fit.min_trace))
         if abs(loglik_new - loglik) <= tol * max(1.0, abs(loglik_new)):
             loglik = loglik_new
             break
@@ -443,7 +453,7 @@ def fit_gmm(theta, k_max=5, seed=0):
     n, d = theta.shape
     if n < 10 * d:
         raise InvalidInputError(f"need at least 10*d={10 * d} samples, got {n}")
-    rows, counts = _distinct_rows(theta)
+    fit = _FitRows.of(*_distinct_rows(theta))
     rng = np.random.default_rng(seed)
 
     best_model, best_bic = None, math.inf
@@ -455,9 +465,9 @@ def fit_gmm(theta, k_max=5, seed=0):
         # None stands for the k-means++ start
         for base in ([prev, None] if prev is not None else [None]):
             try:
-                start = (_kmeans_start(rows, counts, k, rng) if base is None
+                start = (_kmeans_start(fit, k, rng) if base is None
                          else _split_start(base))
-                model, loglik = _em_fit(rows, counts, start)
+                model, loglik = _em_fit(fit, start)
             except NumericalError as exc:
                 last_error = exc
                 continue

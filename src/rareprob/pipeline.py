@@ -255,7 +255,7 @@ def _reweight(target, state, params=None):
     """The state re-expressed under other likelihood parameters (no model
     call: the cached g and grad g are reused)."""
     g, grad_g = state.aux
-    logp, grad, _ = target.view(state.theta, g, grad_g, params)
+    logp, grad = target.view(state.theta, g, grad_g, params)
     return replace(state, logp=logp, grad=grad, aux=(g, grad_g))
 
 

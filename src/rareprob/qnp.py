@@ -1,11 +1,12 @@
 """Quasi-Newton mass preconditioning for the Hamiltonian sampler.
 
 During burn-in the chain accumulates a BFGS approximation W of the inverse
-Hessian of the log-density, one rank-two update per completed leapfrog step,
-while the trajectory itself runs on the snapshot taken at the start of the
-iteration (rejected iterations roll the accumulated updates back).  After
-burn-in, W is repaired to positive definiteness if needed and its inverse
-becomes the mass matrix of the non-adaptive phase.
+Hessian of the log-density.  The trajectory runs on the W of the start of
+the iteration; each completed leapfrog step leaves one curvature pair, and
+once the trajectory is accepted its pairs are applied in step order, one
+rank-two update each.  The pairs of a rejected trajectory are never applied.
+After burn-in, W is repaired to positive definiteness if needed and its
+inverse becomes the mass matrix of the non-adaptive phase.
 """
 
 from __future__ import annotations
@@ -76,14 +77,18 @@ def _eye(d):
 
 
 class BfgsState:
-    """Accumulating inverse-Hessian approximation with snapshot/rollback."""
+    """Accumulating inverse-Hessian approximation W, plus the curvature pairs
+    of the trajectory in flight: ``accept`` applies them in order, ``restore``
+    drops them, so W only ever learns from kept trajectories."""
 
     def __init__(self, dim):
         self.w = np.eye(dim)
         self.n_updates = 0
         self.n_skipped = 0
+        self.pending = []       # (s, y) pairs of the trajectory in flight
 
     def update(self, s, y):
+        """Apply one pair to W at once; False when the pair is skipped."""
         w_new = bfgs_update(self.w, s, y)
         if w_new is None:
             self.n_skipped += 1
@@ -92,12 +97,13 @@ class BfgsState:
         self.n_updates += 1
         return True
 
-    # update() only rebinds self.w, never writes into it: a snapshot shares it
-    def snapshot(self):
-        return self.w, self.n_updates, self.n_skipped
+    def accept(self):
+        for s, y in self.pending:
+            self.update(s, y)
+        self.pending = []
 
-    def restore(self, snap):
-        self.w, self.n_updates, self.n_skipped = snap
+    def restore(self):
+        self.pending = []
 
 
 def is_spd(w):
@@ -176,17 +182,19 @@ class MassState:
 
 def qnp_burnin_iteration(state, logp_grad, eps, tau, rng, bfgs):
     """Adaptive-phase iteration: identity-mass momentum, dynamics driven by
-    the W snapshot, curvature pairs harvested per leapfrog step, rollback of
-    W on rejection."""
+    the W of the iteration's start, one curvature pair per leapfrog step.
+    An accepted trajectory's pairs update W in step order; a rejected one's
+    are dropped, so W is unchanged."""
     n_steps, eps_eff = trajectory_discretization(jitter_tau(tau, rng), eps)
-    snap = bfgs.snapshot()
     # curvature pairs are taken on the potential energy -log p, so that W
     # approximates the local covariance (SPD wherever s'y > 0)
     new_state, info = hmc_transition(state, logp_grad, eps_eff, n_steps, rng,
-                                     b_matrix=snap[0],
-                                     on_step=lambda s, y: bfgs.update(s, -y))
-    if not info["accepted"]:
-        bfgs.restore(snap)
+                                     b_matrix=bfgs.w,
+                                     on_step=lambda s, y: bfgs.pending.append((s, -y)))
+    if info["accepted"]:
+        bfgs.accept()
+    else:
+        bfgs.restore()
     return new_state, info
 
 

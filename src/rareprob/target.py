@@ -208,13 +208,12 @@ class SmoothedTarget:
         return params.log_omega - softplus(u)
 
     def view(self, theta, g, grad_g, params=None):
-        """(log density, gradient, log ell) at theta given its model response."""
+        """(log density, gradient) at theta given its model response."""
         params = params or self.final_params
         u = (g / params.g_c + params.mu_g) / params.c
-        log_ell = params.log_omega - softplus(u)
         half_sq, grad = _half_sq_norm_and_grad(
             theta, sigmoid(u) / (params.g_c * params.c), grad_g)
-        return log_ell - self._log_norm - half_sq, grad, log_ell
+        return params.log_omega - softplus(u) - self._log_norm - half_sq, grad
 
     # -- the model-calling entry point ---------------------------------------
 
@@ -222,5 +221,5 @@ class SmoothedTarget:
         """(logp, grad, (g, grad_g)) with exactly one model call."""
         theta = np.asarray(theta, dtype=float)
         g, grad_g = self.model.evaluate(theta)
-        logp, grad, _ = self.view(theta, g, grad_g, params)
+        logp, grad = self.view(theta, g, grad_g, params)
         return logp, grad, (g, grad_g)

@@ -147,6 +147,10 @@ def test_tuning_failure_exit_code(capsys):
     ("tune", "--problem", "example1", "--pilot-iters", "0"),
     ("tune", "--problem", "example1", "--sigma", "5", "--candidates", "0.7",
      "--pilot-iters", "5"),
+    ("oracle", "--problem", "example4", "--n", "20000", "--force",
+     "--seed", "-1"),
+    ("tune", "--problem", "example1", "--candidates", "0.7",
+     "--pilot-iters", "5", "--seed", "-1"),
     *(("run", "--problem", "example1", "--method", "qnp-hmcmc",
        "--replications", "2", *extra)
       for extra in (("--set", "replications=abc"), ("--set", "n_jobs=abc"),
@@ -155,7 +159,8 @@ def test_tuning_failure_exit_code(capsys):
                     ("--set", "n_jobs=0")))],
     ids=["plot-csv-is-a-directory", "candidates-unparsable",
          "candidates-empty", "candidate-zero", "pilot-iters-zero",
-         "sigma-out-of-range", "replications-not-a-number",
+         "sigma-out-of-range", "oracle-seed-negative", "tune-seed-negative",
+         "replications-not-a-number",
          "n-jobs-not-a-number", "replications-not-an-integer",
          "replications-a-bool", "seed-negative", "n-jobs-zero"])
 def test_bad_cli_input_is_a_configuration_error(capsys, argv):

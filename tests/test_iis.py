@@ -11,7 +11,7 @@ from rareprob import (AstpaConfig, GmmModel,
                       choose_thinning, cov_analytic, estimate_pf, fit_gmm,
                       fit_single_gaussian, make_benchmark,
                       normalizing_constant, resolve_spec, run_astpa)
-from rareprob.iis import (SubspaceDensity, _distinct_rows, _em_fit,
+from rareprob.iis import (SubspaceDensity, _distinct_rows, _em_fit, _FitRows,
                           _kmeans_start, _split_start, add_defensive_component,
                           deformed_subspace, estimate_thinning_lag,
                           fit_subspace_density, row_sq_norms, ROW_BLOCK)
@@ -199,10 +199,10 @@ def test_em_on_counted_rows_matches_em_on_repeated_rows():
                            rng.standard_normal((100, 2)) * 0.6 + [2.0, 1.0]])
     counts = rng.integers(1, 6, size=rows.shape[0])
     expanded = np.repeat(rows, counts, axis=0)
-    start = _kmeans_start(rows, counts, 3, np.random.default_rng(4))
-    q_rows, ll_rows = _em_fit(rows, counts, start)
-    q_full, ll_full = _em_fit(expanded, np.ones(expanded.shape[0], dtype=int),
-                              start)
+    start = _kmeans_start(_FitRows.of(rows, counts), 3, np.random.default_rng(4))
+    q_rows, ll_rows = _em_fit(_FitRows.of(rows, counts), start)
+    q_full, ll_full = _em_fit(
+        _FitRows.of(expanded, np.ones(expanded.shape[0], dtype=int)), start)
     assert ll_rows == pytest.approx(ll_full, rel=1e-10)
     for attr in ("weights", "means", "covs"):
         np.testing.assert_allclose(getattr(q_rows, attr), getattr(q_full, attr),
@@ -220,7 +220,7 @@ def test_component_collapsing_onto_a_stuck_state_stays_nonsingular():
                             rng.standard_normal((300, 2))])
     rows, counts = _distinct_rows(theta)
     spike = GmmModel([0.5, 0.5], [[0.0, 0.0], stuck], [np.eye(2), 0.01 * np.eye(2)])
-    q, loglik = _em_fit(rows, counts, spike)
+    q, loglik = _em_fit(_FitRows.of(rows, counts), spike)
     assert math.isfinite(loglik)
     assert q.weights[1] == pytest.approx(0.4, abs=1e-6)
     np.testing.assert_allclose(q.means[1], stuck, atol=1e-12)
@@ -259,7 +259,7 @@ def test_component_log_density_matches_triangular_solve():
         sol = solve_triangular(chol, (theta - means[j]).T, lower=True)
         ref[j] = (-0.5 * d * math.log(2 * math.pi)
                   - np.log(np.diag(chol)).sum() - 0.5 * (sol ** 2).sum(axis=0))
-    np.testing.assert_allclose(q.component_log_density(theta), ref,
+    np.testing.assert_allclose(q.component_log_density(theta.T.copy()), ref,
                                rtol=1e-12)
 
 
@@ -268,7 +268,7 @@ def test_component_log_density_overflow_is_neg_inf_without_warning():
                  np.stack([np.eye(2), [[2.0, 0.3], [0.3, 1.0]]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        comp = q.component_log_density(np.array([[1e200, 1e200]]))
+        comp = q.component_log_density(np.array([[1e200], [1e200]]))
         log_q = q.log_density(np.array([[1e200, 1e200]]))
     assert np.isneginf(comp).all()
     assert np.isneginf(log_q).all()

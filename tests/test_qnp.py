@@ -208,6 +208,58 @@ def test_rejection_restores_w_bit_exact():
     np.testing.assert_array_equal(state.theta, [0.5, 0.5])
 
 
+def _update_then_rollback_iteration(state, logp_grad, eps, tau, rng, w, pairs):
+    """The burn-in iteration that updates W at every leapfrog step and
+    restores the start W on rejection; returns (state, info, W)."""
+    n_steps, eps_eff = hmc.trajectory_discretization(hmc.jitter_tau(tau, rng), eps)
+    w_start = w
+
+    def on_step(s, y):
+        nonlocal w
+        pairs.append((s, -y))
+        w_new = bfgs_update(w, s, -y)
+        if w_new is not None:
+            w = w_new
+
+    new_state, info = hmc.hmc_transition(state, logp_grad, eps_eff, n_steps, rng,
+                                         b_matrix=w_start, on_step=on_step)
+    return new_state, info, (w if info["accepted"] else w_start)
+
+
+def test_burnin_applies_pairs_in_step_order_only_on_acceptance(monkeypatch):
+    # every call of the module-level bfgs_update is counted: a rejected
+    # iteration makes none, an accepted one makes one per leapfrog step with
+    # that step's pair, and W follows the update-then-rollback loop bit for bit
+    target = GaussianTarget(np.array([[3.0, 0.8, 0.0], [0.8, 1.5, 0.4],
+                                      [0.0, 0.4, 0.7]]))
+    calls = []
+    monkeypatch.setattr(qnp, "bfgs_update",
+                        lambda w, s, y: calls.append((s, y)) or bfgs_update(w, s, y))
+    rng_new, rng_old = np.random.default_rng(41), np.random.default_rng(41)
+    bfgs, w_old = BfgsState(3), np.eye(3)
+    s_new = s_old = make_state(target, [0.6, -0.3, 0.2])
+    n_accepted = 0
+    for _ in range(30):
+        calls.clear()
+        pairs = []
+        s_new, info = qnp_burnin_iteration(s_new, target.logp_grad, 1.2, 3.6,
+                                           rng_new, bfgs)
+        s_old, info_old, w_old = _update_then_rollback_iteration(
+            s_old, target.logp_grad, 1.2, 3.6, rng_old, w_old, pairs)
+        assert info == info_old
+        np.testing.assert_array_equal(s_new.theta, s_old.theta)
+        if info["accepted"]:
+            n_accepted += 1
+            assert len(calls) == len(pairs) == info["n_steps"]
+            for (s, y), (s_ref, y_ref) in zip(calls, pairs):
+                np.testing.assert_array_equal(s, s_ref)
+                np.testing.assert_array_equal(y, y_ref)
+        else:
+            assert calls == []
+        np.testing.assert_array_equal(bfgs.w, w_old)
+    assert 5 <= n_accepted <= 25     # both branches are exercised
+
+
 def test_constant_density_behaves_as_free_particle():
     class Flat:
         d = 2
